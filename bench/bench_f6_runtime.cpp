@@ -22,7 +22,6 @@
 #include "runtime/server.h"
 #include "runtime/trace.h"
 #include "tensor/format.h"
-#include "tensor/kernel_pool.h"
 #include "tensor/profile.h"
 
 namespace itask {
@@ -111,10 +110,10 @@ LoadResult drive_load(std::shared_ptr<const core::DeploymentSnapshot> snapshot,
   r.failed = counter("requests_failed");
   r.expired = counter("requests_expired");
   r.arena_overflows = counter("arena_overflow_allocs");
-  r.total_us = histogram("total_us");
-  r.arena_used = histogram("arena_used_bytes");
   using runtime::Stage;
   using runtime::stage_histogram_name;
+  r.total_us = histogram(stage_histogram_name(Stage::kTotal));
+  r.arena_used = histogram("arena_used_bytes");
   r.queue_wait_us = histogram(stage_histogram_name(Stage::kQueueWait));
   r.batch_formation_us =
       histogram(stage_histogram_name(Stage::kBatchFormation));
@@ -216,64 +215,29 @@ int main() {
                 r.total_us.p99);
   }
 
-  // Intra-kernel parallelism (this PR's pool): kernel_threads splits the
-  // GEMM MC-slab loop once a micro-batch clears gemm::kKernelPoolMinRows
-  // (= 256 rows, i.e. group size >= 26 at 10 rows/image). max_batch 8 stays
-  // under the threshold — the pool must be a no-op there; max_batch 32
-  // engages it. Results are bit-exact at any setting (test_runtime proves
-  // it); this table shows only the wall-time effect.
-  std::printf("\nintra-kernel parallelism (workers 2): kernel_threads x "
-              "max_batch\n\n");
-  std::printf("kernel_threads  max_batch  throughput(req/s)  p50(us)  "
-              "p99(us)  infer p50(us)\n");
-  for (const int64_t kernel_threads : {int64_t{0}, int64_t{2}, int64_t{4}}) {
-    for (const int64_t max_batch : {int64_t{8}, int64_t{32}}) {
-      runtime::RuntimeOptions opts;
-      opts.workers = 2;
-      opts.max_batch = max_batch;
-      opts.max_wait_us = 500;
-      opts.queue_capacity = 64;
-      opts.kernel_threads = kernel_threads;
-      const LoadResult r =
-          drive_load(snapshot, task.id, opts, requests, producers, scenes);
-      std::printf("%14d  %9d  %17.1f  %7.0f  %7.0f  %13.0f\n",
-                  static_cast<int>(kernel_threads),
-                  static_cast<int>(max_batch),
-                  static_cast<double>(r.completed) / r.seconds, r.total_us.p50,
-                  r.total_us.p99, r.infer_us.p50);
-    }
-  }
-  // The pool is process-wide and outlives each server — return the rest of
-  // the bench to the single-core kernel budget.
-  gemm::KernelPool::instance().configure(0);
-
-  // Allocation-free steady state (this PR): per-worker bump arenas sized by
+  // Allocation-free steady state: per-worker bump arenas sized by
   // DeploymentSnapshot::plan_workspace() absorb every hot-path intermediate.
-  // The A/B isolates the allocator effect; the high-water column reports the
-  // largest per-group arena footprint actually observed against the planned
-  // capacity (overflows must be 0 — the plan covers the peak by
-  // construction).
-  std::printf("\narena A/B (workers 2): use_arena x max_batch\n\n");
-  std::printf("arena  max_batch  throughput(req/s)  p50(us)  p99(us)  "
+  // The high-water column reports the largest per-group arena footprint
+  // actually observed against the planned capacity (overflows must be 0 —
+  // the plan covers the peak by construction).
+  std::printf("\narena footprint (workers 2): high-water vs plan\n\n");
+  std::printf("max_batch  throughput(req/s)  p50(us)  p99(us)  "
               "high-water(KiB)  planned(KiB)  overflows\n");
-  for (const bool use_arena : {false, true}) {
-    for (const int64_t max_batch : {int64_t{1}, int64_t{8}}) {
-      runtime::RuntimeOptions opts;
-      opts.workers = 2;
-      opts.max_batch = max_batch;
-      opts.max_wait_us = 500;
-      opts.queue_capacity = 64;
-      opts.use_arena = use_arena;
-      const LoadResult r =
-          drive_load(snapshot, task.id, opts, requests, producers, scenes);
-      const double planned_kib =
-          static_cast<double>(snapshot->plan_workspace(max_batch)) / 1024.0;
-      std::printf("%5s  %9d  %17.1f  %7.0f  %7.0f  %15.1f  %12.1f  %9d\n",
-                  use_arena ? "on" : "off", static_cast<int>(max_batch),
-                  static_cast<double>(r.completed) / r.seconds, r.total_us.p50,
-                  r.total_us.p99, r.arena_used.max / 1024.0, planned_kib,
-                  static_cast<int>(r.arena_overflows));
-    }
+  for (const int64_t max_batch : {int64_t{1}, int64_t{8}}) {
+    runtime::RuntimeOptions opts;
+    opts.workers = 2;
+    opts.max_batch = max_batch;
+    opts.max_wait_us = 500;
+    opts.queue_capacity = 64;
+    const LoadResult r =
+        drive_load(snapshot, task.id, opts, requests, producers, scenes);
+    const double planned_kib =
+        static_cast<double>(snapshot->plan_workspace(max_batch)) / 1024.0;
+    std::printf("%9d  %17.1f  %7.0f  %7.0f  %15.1f  %12.1f  %9d\n",
+                static_cast<int>(max_batch),
+                static_cast<double>(r.completed) / r.seconds, r.total_us.p50,
+                r.total_us.p99, r.arena_used.max / 1024.0, planned_kib,
+                static_cast<int>(r.arena_overflows));
   }
 
   std::printf("\ngraceful degradation (workers 2, max_batch 4): seeded fault "
@@ -494,17 +458,10 @@ int main() {
       "from the first post-install request, and p50/p99 return to "
       "steady-state level in the after-install phases — the 'during' rows "
       "run hot only because distillation shares the CPU with the workers "
-      "(the snapshot swap itself is one pointer move). Intra-kernel table: "
-      "kernel_threads is a no-op at max_batch 8 (groups stay under the "
-      "256-row pool threshold) and helps, if at all, only the infer span at "
-      "max_batch 32 — with 2 workers already sharing the cores, extra lanes "
-      "contend, so throughput gains are modest-to-none on this machine "
-      "(results stay bit-exact regardless). Arena A/B: arena-on throughput/"
-      "p99 is no worse than arena-off (models this tiny spend most of infer "
-      "in arithmetic, so the win is modest but the variance tightens), "
+      "(the snapshot swap itself is one pointer move). Arena footprint: "
       "high-water <= planned capacity, and overflows are exactly 0 — the "
       "plan_workspace measurement covers the serving peak. F6 is the "
-      "multi-core exception to the single-core bench budget — worker and "
-      "kernel-lane scaling is the subject.");
+      "multi-core exception to the single-core bench budget — worker "
+      "scaling is the subject.");
   return 0;
 }

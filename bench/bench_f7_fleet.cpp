@@ -22,6 +22,7 @@
 #include "runtime/exposition.h"
 #include "runtime/fleet.h"
 #include "runtime/loadgen.h"
+#include "runtime/trace.h"
 #include "tensor/format.h"
 
 namespace itask {
@@ -81,7 +82,8 @@ FleetLoad drive_fleet(std::shared_ptr<const core::DeploymentSnapshot> snapshot,
   r.quota_rejected = counter("fleet_quota_rejected");
   r.failovers = counter("fleet_failovers");
   for (const auto& [n, s] : merged.histograms) {
-    if (n == "total_us") r.total_us = s;
+    if (n == runtime::stage_histogram_name(runtime::Stage::kTotal))
+      r.total_us = s;
   }
   r.shard_min = INT64_MAX;
   for (int64_t s = 0; s < fleet.shard_count(); ++s) {

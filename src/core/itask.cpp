@@ -155,7 +155,7 @@ std::vector<std::vector<detect::Detection>> Framework::decode_and_match(
     const vit::VitOutput& output, const TaskHandle& task,
     bool use_rel_head) const {
   // Shared with DeploymentSnapshot::infer_batch — the element-wise identity
-  // between the serial paths and the published serving path is by
+  // between the serial path and the published serving path is by
   // construction, not by parallel maintenance of two copies.
   return core::decode_and_match(output, task.compiled, use_rel_head,
                                 pipeline());
@@ -174,22 +174,6 @@ std::vector<std::vector<detect::Detection>> Framework::detect_batch(
   }
   ITASK_CHECK(quantized_ != nullptr,
               "detect_batch: prepare_quantized() first");
-  const vit::VitOutput out = quantized_->forward(images);
-  return decode_and_match(out, task, /*use_rel_head=*/false);
-}
-
-std::vector<std::vector<detect::Detection>> Framework::infer_batch(
-    const Tensor& images, const TaskHandle& task, ConfigKind config) const {
-  ITASK_CHECK(images.ndim() == 4, "infer_batch: need [B, C, H, W]");
-  if (config == ConfigKind::kTaskSpecific) {
-    const auto it = students_.find(task.slot);
-    ITASK_CHECK(it != students_.end(),
-                "infer_batch: prepare_task_specific() first");
-    const vit::VitOutput out = it->second->infer(images);
-    return decode_and_match(out, task, /*use_rel_head=*/true);
-  }
-  ITASK_CHECK(quantized_ != nullptr,
-              "infer_batch: prepare_quantized() first");
   const vit::VitOutput out = quantized_->forward(images);
   return decode_and_match(out, task, /*use_rel_head=*/false);
 }
@@ -255,17 +239,17 @@ bool Framework::is_prepared(const TaskHandle& task, ConfigKind config) const {
 }
 
 std::shared_ptr<const DeploymentSnapshot> Framework::publish() {
-  // Publish-time weight pre-packing: snapshots are immutable and shared, so
-  // every captured model's weights are packed into the kernels' panel
-  // layout once here, and requests served from the snapshot skip the
-  // per-call B/W pack entirely. Safe by construction: a model's first
-  // prepack happens before any snapshot holding it exists, prepack is a
-  // write-free no-op once packed (so re-publishing a model an installed
+  // Publish-time serving kernels: snapshots are immutable and shared, so
+  // every captured student's Linears get the fp32 prepacked kernel once
+  // here, and requests served from the snapshot skip the per-call B pack
+  // entirely. (The quantized model's INT8 kernels were packed when
+  // finalize() installed them.) Safe by construction: a model's kernels are
+  // installed before any snapshot holding it exists, installing is a
+  // write-free no-op once done (so re-publishing a model an installed
   // snapshot already serves races with nothing), and prepare_* replaces
-  // model objects rather than retraining them, so a cache never goes stale
+  // model objects rather than retraining them, so a kernel never goes stale
   // on the serving path.
   for (auto& [slot, student] : students_) student->prepack_for_serving();
-  if (quantized_ != nullptr) quantized_->prepack();
   std::map<kg::TaskId, std::shared_ptr<const vit::VitModel>> students;
   for (const auto& [slot, student] : students_) {
     students.emplace(kg::TaskId{slot}, student);

@@ -106,16 +106,11 @@ class Framework {
   void prepare_quantized();
 
   /// Batched detection. images: [B, C, H, W]. Returns per-image detections
-  /// (already task-filtered and NMS-ed, sorted by confidence).
+  /// (already task-filtered and NMS-ed, sorted by confidence). The serial
+  /// reference (students run forward()); the concurrent serving entry point
+  /// is DeploymentSnapshot::infer_batch, element-wise identical to this.
   std::vector<std::vector<detect::Detection>> detect_batch(
       const Tensor& images, const TaskHandle& task, ConfigKind config);
-
-  /// Thread-safe batched detection over a *prepared* deployment: const,
-  /// cache-free, and numerically identical to detect_batch, so many runtime
-  /// workers may call it concurrently on one Framework. The deployment must
-  /// not be mutated (prepare_*/load_deployment) while calls are in flight.
-  std::vector<std::vector<detect::Detection>> infer_batch(
-      const Tensor& images, const TaskHandle& task, ConfigKind config) const;
 
   /// Single-image convenience overload ([C, H, W]).
   std::vector<detect::Detection> detect(const Tensor& image,

@@ -55,11 +55,8 @@ MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t heads, Rng& rng)
   register_child("proj", proj_);
 }
 
-Tensor MultiHeadAttention::forward(const Tensor& tokens) {
-  ITASK_CHECK(tokens.ndim() == 3 && tokens.dim(2) == dim_,
-              "MultiHeadAttention: need [B, T, dim]");
-  const int64_t b = tokens.dim(0), t = tokens.dim(1);
-  Tensor qkv = qkv_.forward(tokens);  // [B, T, 3D]
+Tensor MultiHeadAttention::attend(const Tensor& qkv, Cache* keep) const {
+  const int64_t b = qkv.dim(0), t = qkv.dim(1);
   // Slice out Q, K, V as [B, T, D] each.
   Tensor q({b, t, dim_}), k({b, t, dim_}), v({b, t, dim_});
   {
@@ -72,57 +69,50 @@ Tensor MultiHeadAttention::forward(const Tensor& tokens) {
       std::copy(row + 2 * dim_, row + 3 * dim_, vd.data() + r * dim_);
     }
   }
-  cached_q_ = split_heads(q, heads_);  // [B*H, T, hd]
-  cached_k_ = split_heads(k, heads_);
-  cached_v_ = split_heads(v, heads_);
-  Tensor scores =
-      ops::mul_scalar(ops::bmm_bt(cached_q_, cached_k_), scale_);  // [B*H,T,T]
-  cached_attn_ = ops::softmax_lastdim(scores);
-  Tensor ctx = ops::bmm(cached_attn_, cached_v_);  // [B*H, T, hd]
-  cached_batch_ = b;
-  return proj_.forward(merge_heads(ctx, heads_));
+  Tensor qh = split_heads(q, heads_);  // [B*H, T, hd]
+  Tensor kh = split_heads(k, heads_);
+  Tensor vh = split_heads(v, heads_);
+  Tensor attn = ops::softmax_lastdim(
+      ops::mul_scalar(ops::bmm_bt(qh, kh), scale_));  // [B*H, T, T]
+  Tensor ctx = merge_heads(ops::bmm(attn, vh), heads_);  // [B, T, D]
+  if (keep != nullptr) {
+    keep->q = std::move(qh);
+    keep->k = std::move(kh);
+    keep->v = std::move(vh);
+    keep->attn = std::move(attn);
+  }
+  return ctx;
+}
+
+Tensor MultiHeadAttention::forward(const Tensor& tokens) {
+  ITASK_CHECK(tokens.ndim() == 3 && tokens.dim(2) == dim_,
+              "MultiHeadAttention: need [B, T, dim]");
+  cached_batch_ = tokens.dim(0);
+  return proj_.forward(attend(qkv_.forward(tokens), &cache_));
 }
 
 Tensor MultiHeadAttention::infer(const Tensor& tokens) const {
   ITASK_CHECK(tokens.ndim() == 3 && tokens.dim(2) == dim_,
               "MultiHeadAttention: need [B, T, dim]");
-  const int64_t b = tokens.dim(0), t = tokens.dim(1);
-  Tensor qkv = qkv_.infer(tokens);  // [B, T, 3D]
-  Tensor q({b, t, dim_}), k({b, t, dim_}), v({b, t, dim_});
-  {
-    auto src = qkv.data();
-    auto qd = q.data(), kd = k.data(), vd = v.data();
-    for (int64_t r = 0; r < b * t; ++r) {
-      const float* row = src.data() + r * 3 * dim_;
-      std::copy(row, row + dim_, qd.data() + r * dim_);
-      std::copy(row + dim_, row + 2 * dim_, kd.data() + r * dim_);
-      std::copy(row + 2 * dim_, row + 3 * dim_, vd.data() + r * dim_);
-    }
-  }
-  const Tensor qh = split_heads(q, heads_);  // [B*H, T, hd]
-  const Tensor kh = split_heads(k, heads_);
-  const Tensor vh = split_heads(v, heads_);
-  Tensor scores = ops::mul_scalar(ops::bmm_bt(qh, kh), scale_);  // [B*H,T,T]
-  Tensor ctx = ops::bmm(ops::softmax_lastdim(scores), vh);  // [B*H, T, hd]
-  return proj_.infer(merge_heads(ctx, heads_));
+  return proj_.infer(attend(qkv_.infer(tokens), nullptr));
 }
 
 Tensor MultiHeadAttention::backward(const Tensor& grad_out) {
-  ITASK_CHECK(!cached_attn_.empty(),
+  ITASK_CHECK(!cache_.attn.empty(),
               "MultiHeadAttention: backward before forward");
   const int64_t b = cached_batch_;
-  const int64_t t = cached_q_.dim(1);
+  const int64_t t = cache_.q.dim(1);
   Tensor d_ctx_merged = proj_.backward(grad_out);          // [B, T, D]
   Tensor d_ctx = split_heads(d_ctx_merged, heads_);        // [B*H, T, hd]
   // ctx = attn · v
-  Tensor d_attn = ops::bmm_bt(d_ctx, cached_v_);           // [B*H, T, T]
-  Tensor d_v = ops::bmm_at(cached_attn_, d_ctx);           // [B*H, T, hd]
+  Tensor d_attn = ops::bmm_bt(d_ctx, cache_.v);            // [B*H, T, T]
+  Tensor d_v = ops::bmm_at(cache_.attn, d_ctx);            // [B*H, T, hd]
   // attn = softmax(scores)
-  Tensor d_scores = ops::softmax_backward_lastdim(cached_attn_, d_attn);
+  Tensor d_scores = ops::softmax_backward_lastdim(cache_.attn, d_attn);
   d_scores = ops::mul_scalar(d_scores, scale_);
   // scores = q · kᵀ
-  Tensor d_q = ops::bmm(d_scores, cached_k_);              // [B*H, T, hd]
-  Tensor d_k = ops::bmm_at(d_scores, cached_q_);           // [B*H, T, hd]
+  Tensor d_q = ops::bmm(d_scores, cache_.k);               // [B*H, T, hd]
+  Tensor d_k = ops::bmm_at(d_scores, cache_.q);            // [B*H, T, hd]
   // Re-pack [dq|dk|dv] into the qkv gradient layout [B, T, 3D].
   Tensor dq_m = merge_heads(d_q, heads_);
   Tensor dk_m = merge_heads(d_k, heads_);

@@ -32,17 +32,26 @@ class MultiHeadAttention : public Module {
 
   /// Attention probabilities of the most recent forward pass, laid out
   /// [B*H, T, T] (rows sum to 1). Empty before the first forward.
-  const Tensor& last_attention() const { return cached_attn_; }
+  const Tensor& last_attention() const { return cache_.attn; }
 
  private:
+  /// Activations backward() needs, all in the [B*H, T, *] layout.
+  struct Cache {
+    Tensor q, k, v, attn;
+  };
+
+  /// The one attention body forward() and infer() share: slices qkv
+  /// [B, T, 3D] into heads, runs scaled-dot-product attention and merges
+  /// the context back to [B, T, D]. Fills `keep` when non-null.
+  Tensor attend(const Tensor& qkv, Cache* keep) const;
+
   int64_t dim_;
   int64_t heads_;
   int64_t head_dim_;
   float scale_;
   Linear qkv_;
   Linear proj_;
-  // Cached activations for backward (all in the [B*H, T, hd] layout).
-  Tensor cached_q_, cached_k_, cached_v_, cached_attn_;
+  Cache cache_;
   int64_t cached_batch_ = 0;
 };
 

@@ -78,14 +78,13 @@ PatchEmbed::PatchEmbed(int64_t image_size, int64_t patch_size,
   register_child("proj", proj_);
 }
 
-Tensor PatchEmbed::forward(const Tensor& images) {
+template <typename Project>
+Tensor PatchEmbed::embed(const Tensor& images, Project&& project) const {
   ITASK_CHECK(images.ndim() == 4 && images.dim(1) == channels_ &&
                   images.dim(2) == image_size_ && images.dim(3) == image_size_,
               "PatchEmbed: unexpected image shape");
   const int64_t b = images.dim(0);
-  cached_batch_ = b;
-  Tensor patches = patchify(images, patch_size_);        // [B, T, pv]
-  Tensor projected = proj_.forward(patches);             // [B, T, D]
+  const Tensor projected = project(patchify(images, patch_size_));  // [B,T,D]
   Tensor out({b, tokens_ + 1, dim_});
   auto o = out.data();
   auto pd = projected.data();
@@ -104,29 +103,15 @@ Tensor PatchEmbed::forward(const Tensor& images) {
   return out;
 }
 
-Tensor PatchEmbed::infer(const Tensor& images) const {
-  ITASK_CHECK(images.ndim() == 4 && images.dim(1) == channels_ &&
-                  images.dim(2) == image_size_ && images.dim(3) == image_size_,
-              "PatchEmbed: unexpected image shape");
-  const int64_t b = images.dim(0);
-  Tensor patches = patchify(images, patch_size_);        // [B, T, pv]
-  Tensor projected = proj_.infer(patches);               // [B, T, D]
-  Tensor out({b, tokens_ + 1, dim_});
-  auto o = out.data();
-  auto pd = projected.data();
-  auto cls = cls_.value.data();
-  auto pos = pos_.value.data();
-  for (int64_t bi = 0; bi < b; ++bi) {
-    float* base = o.data() + bi * (tokens_ + 1) * dim_;
-    for (int64_t j = 0; j < dim_; ++j) base[j] = cls[j] + pos[j];
-    for (int64_t ti = 0; ti < tokens_; ++ti) {
-      const float* src = pd.data() + (bi * tokens_ + ti) * dim_;
-      float* dst = base + (ti + 1) * dim_;
-      const float* prow = pos.data() + (ti + 1) * dim_;
-      for (int64_t j = 0; j < dim_; ++j) dst[j] = src[j] + prow[j];
-    }
-  }
+Tensor PatchEmbed::forward(const Tensor& images) {
+  Tensor out = embed(images,
+                     [this](const Tensor& p) { return proj_.forward(p); });
+  cached_batch_ = images.dim(0);
   return out;
+}
+
+Tensor PatchEmbed::infer(const Tensor& images) const {
+  return embed(images, [this](const Tensor& p) { return proj_.infer(p); });
 }
 
 Tensor PatchEmbed::backward(const Tensor& grad_tokens) {

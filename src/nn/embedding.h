@@ -8,7 +8,7 @@
 namespace itask::nn {
 
 /// Rearranges [B, C, H, W] into flattened patches [B, T, C*P*P] where
-/// T = (H/P)*(W/P). Exposed for tests and for the quantized runtime.
+/// T = (H/P)*(W/P). Exposed for tests.
 Tensor patchify(const Tensor& images, int64_t patch);
 
 /// Scatters patch gradients [B, T, C*P*P] back into image layout [B, C, H, W].
@@ -36,6 +36,12 @@ class PatchEmbed : public Module {
   int64_t patch_size() const { return patch_size_; }
 
  private:
+  /// The one embedding body forward() and infer() share: validates the
+  /// image shape, then prepends CLS and adds the positional embedding to
+  /// the projected patches `project(patchify(images))` [B, T, D].
+  template <typename Project>
+  Tensor embed(const Tensor& images, Project&& project) const;
+
   int64_t image_size_;
   int64_t patch_size_;
   int64_t channels_;

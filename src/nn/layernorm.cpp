@@ -6,18 +6,22 @@
 
 namespace itask::nn {
 
-Tensor layernorm_affine(const Tensor& x, const Tensor& gamma,
-                        const Tensor& beta, float eps) {
-  ITASK_CHECK(gamma.ndim() == 1 && gamma.shape() == beta.shape(),
-              "layernorm_affine: gamma/beta must be matching 1-D");
-  const int64_t c = gamma.numel();
-  ITASK_CHECK(x.ndim() >= 1 && x.dim(x.ndim() - 1) == c,
-              "layernorm_affine: trailing dim mismatch");
-  const int64_t rows = x.numel() / c;
-  Tensor out = x;
+LayerNorm::LayerNorm(int64_t features, float eps)
+    : features_(features),
+      eps_(eps),
+      gamma_(register_parameter("gamma", Tensor({features}, 1.0f))),
+      beta_(register_parameter("beta", Tensor({features}))) {}
+
+Tensor LayerNorm::normalize(const Tensor& input, float* xhat,
+                            float* rstd) const {
+  ITASK_CHECK(input.ndim() >= 1 && input.dim(input.ndim() - 1) == features_,
+              "LayerNorm: trailing dim mismatch");
+  const int64_t c = features_;
+  const int64_t rows = input.numel() / c;
+  Tensor out = input;
   auto o = out.data();
-  auto g = gamma.data();
-  auto b = beta.data();
+  auto g = gamma_.value.data();
+  auto b = beta_.value.data();
   for (int64_t r = 0; r < rows; ++r) {
     float* row = o.data() + r * c;
     float mean = 0.0f;
@@ -29,57 +33,23 @@ Tensor layernorm_affine(const Tensor& x, const Tensor& gamma,
       var += d * d;
     }
     var /= static_cast<float>(c);
-    const float rstd = 1.0f / std::sqrt(var + eps);
-    // Statement structure mirrors LayerNorm::forward so infer stays
-    // element-wise identical under fp contraction (asserted in test_runtime).
+    const float r_std = 1.0f / std::sqrt(var + eps_);
+    if (rstd != nullptr) rstd[r] = r_std;
+    float* xrow = xhat != nullptr ? xhat + r * c : nullptr;
     for (int64_t j = 0; j < c; ++j) {
-      const float xhat = (row[j] - mean) * rstd;
-      row[j] = xhat * g[j] + b[j];
+      const float xh = (row[j] - mean) * r_std;
+      if (xrow != nullptr) xrow[j] = xh;
+      row[j] = xh * g[j] + b[j];
     }
   }
   return out;
 }
 
-LayerNorm::LayerNorm(int64_t features, float eps)
-    : features_(features),
-      eps_(eps),
-      gamma_(register_parameter("gamma", Tensor({features}, 1.0f))),
-      beta_(register_parameter("beta", Tensor({features}))) {}
-
 Tensor LayerNorm::forward(const Tensor& input) {
-  ITASK_CHECK(input.ndim() >= 1 && input.dim(input.ndim() - 1) == features_,
-              "LayerNorm: trailing dim mismatch");
-  const int64_t c = features_;
-  const int64_t rows = input.numel() / c;
-  Tensor xhat({rows, c});
+  const int64_t rows = input.numel() / features_;
+  Tensor xhat({rows, features_});
   Tensor rstd({rows});
-  Tensor out = input;
-  auto in = input.data();
-  auto xh = xhat.data();
-  auto rs = rstd.data();
-  auto o = out.data();
-  auto g = gamma_.value.data();
-  auto b = beta_.value.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = in.data() + r * c;
-    float mean = 0.0f;
-    for (int64_t j = 0; j < c; ++j) mean += row[j];
-    mean /= static_cast<float>(c);
-    float var = 0.0f;
-    for (int64_t j = 0; j < c; ++j) {
-      const float d = row[j] - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(c);
-    const float r_std = 1.0f / std::sqrt(var + eps_);
-    rs[r] = r_std;
-    float* xrow = xh.data() + r * c;
-    float* orow = o.data() + r * c;
-    for (int64_t j = 0; j < c; ++j) {
-      xrow[j] = (row[j] - mean) * r_std;
-      orow[j] = xrow[j] * g[j] + b[j];
-    }
-  }
+  Tensor out = normalize(input, xhat.data().data(), rstd.data().data());
   cached_xhat_ = std::move(xhat);
   cached_rstd_ = std::move(rstd);
   cached_shape_ = input.shape();
@@ -87,9 +57,7 @@ Tensor LayerNorm::forward(const Tensor& input) {
 }
 
 Tensor LayerNorm::infer(const Tensor& input) const {
-  ITASK_CHECK(input.ndim() >= 1 && input.dim(input.ndim() - 1) == features_,
-              "LayerNorm: trailing dim mismatch");
-  return layernorm_affine(input, gamma_.value, beta_.value, eps_);
+  return normalize(input, nullptr, nullptr);
 }
 
 Tensor LayerNorm::backward(const Tensor& grad_out) {

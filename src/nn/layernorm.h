@@ -5,12 +5,6 @@
 
 namespace itask::nn {
 
-/// Stateless affine layernorm over the trailing axis — the single fp32
-/// implementation shared by LayerNorm::infer and the quantized runtime
-/// (which keeps LayerNorm in fp32, see quant/qvit.h).
-Tensor layernorm_affine(const Tensor& x, const Tensor& gamma,
-                        const Tensor& beta, float eps = 1e-5f);
-
 /// y = (x - mean) / sqrt(var + eps) * gamma + beta, normalised per row.
 class LayerNorm : public Module {
  public:
@@ -27,6 +21,11 @@ class LayerNorm : public Module {
   int64_t features() const { return features_; }
 
  private:
+  /// The one normalisation body forward() and infer() share. Writes xhat
+  /// and rstd into the given buffers when non-null (forward keeps them for
+  /// backward; infer passes null and keeps nothing).
+  Tensor normalize(const Tensor& input, float* xhat, float* rstd) const;
+
   int64_t features_;
   float eps_;
   Parameter& gamma_;

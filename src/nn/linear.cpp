@@ -1,9 +1,54 @@
 #include "nn/linear.h"
 
 #include "nn/init.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace itask::nn {
+
+namespace {
+
+/// [..., in] → [..., out] with the trailing axis replaced.
+Shape with_features(const Tensor& x, int64_t features) {
+  Shape shape = x.shape();
+  shape.back() = features;
+  return shape;
+}
+
+/// The fp32 serving kernel: gemm_bt_prepacked over the weight packed once
+/// here. It replays gemm_bt's loop nest over the stored panels, so apply()
+/// is bit-identical to linear_fp32 on the same weights.
+class Fp32PrepackedKernel final : public LinearKernel {
+ public:
+  Fp32PrepackedKernel(const Tensor& weight, const Tensor* bias)
+      : packed_(gemm::pack_weights_bt(weight.data().data(), weight.dim(1),
+                                      weight.dim(0))),
+        bias_(bias != nullptr ? *bias : Tensor()) {}
+
+  Tensor apply(const Tensor& x) const override {
+    const int64_t rows = x.numel() / packed_.k;
+    // Storage is row-major contiguous, so the input's flat data already IS
+    // the [rows, in] matrix — no reshape copy.
+    Tensor y({rows, packed_.n});
+    gemm::gemm_bt_prepacked(x.data().data(), packed_, y.data().data(), rows);
+    if (!bias_.empty()) y = ops::add_rowwise(y, bias_);
+    return y.reshape(with_features(x, packed_.n));
+  }
+
+ private:
+  gemm::PackedB packed_;
+  Tensor bias_;
+};
+
+}  // namespace
+
+Tensor linear_fp32(const Tensor& x, const Tensor& weight, const Tensor* bias) {
+  const int64_t in = weight.dim(1);
+  const int64_t rows = x.numel() / in;
+  Tensor y = ops::matmul_bt(Tensor::borrow({rows, in}, x.data()), weight);
+  if (bias != nullptr) y = ops::add_rowwise(y, *bias);
+  return y.reshape(with_features(x, weight.dim(0)));
+}
 
 Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool bias)
     : in_features_(in_features),
@@ -20,46 +65,25 @@ Tensor Linear::forward(const Tensor& input) {
   ITASK_CHECK(input.ndim() >= 1, "Linear: input must be at least 1-D");
   ITASK_CHECK(input.dim(input.ndim() - 1) == in_features_,
               "Linear: trailing dim mismatch");
-  const int64_t rows = input.numel() / in_features_;
-  Tensor x2d = input.reshape({rows, in_features_});
-  Tensor y = ops::matmul_bt(x2d, weight_.value);  // [rows, out]
-  if (bias_ != nullptr) y = ops::add_rowwise(y, bias_->value);
-  cached_input_2d_ = x2d;
+  cached_input_2d_ = input.reshape({input.numel() / in_features_, in_features_});
   cached_input_shape_ = input.shape();
-  Shape out_shape = input.shape();
-  out_shape.back() = out_features_;
-  return y.reshape(std::move(out_shape));
+  return linear_fp32(input, weight_.value,
+                     bias_ != nullptr ? &bias_->value : nullptr);
 }
 
 Tensor Linear::infer(const Tensor& input) const {
   ITASK_CHECK(input.ndim() >= 1, "Linear: input must be at least 1-D");
   ITASK_CHECK(input.dim(input.ndim() - 1) == in_features_,
               "Linear: trailing dim mismatch");
-  const int64_t rows = input.numel() / in_features_;
-  Tensor y;
-  if (packed_ != nullptr) {
-    // Published model: the weight panels were packed once at publish time.
-    // gemm_bt_prepacked is bit-identical to gemm_bt, so this path stays
-    // arithmetically identical to forward(). Storage is row-major
-    // contiguous, so the input's flat data already IS the [rows, in]
-    // matrix — no reshape copy.
-    y = Tensor({rows, out_features_});
-    gemm::gemm_bt_prepacked(input.data().data(), *packed_, y.data().data(),
-                            rows);
-  } else {
-    y = ops::matmul_bt(input.reshape({rows, in_features_}),
-                       weight_.value);  // [rows, out]
-  }
-  if (bias_ != nullptr) y = ops::add_rowwise(y, bias_->value);
-  Shape out_shape = input.shape();
-  out_shape.back() = out_features_;
-  return y.reshape(std::move(out_shape));
+  if (kernel_ != nullptr) return kernel_->apply(input);
+  return linear_fp32(input, weight_.value,
+                     bias_ != nullptr ? &bias_->value : nullptr);
 }
 
 void Linear::prepack_for_serving() {
-  if (packed_ != nullptr) return;  // idempotent — no writes once packed
-  packed_ = std::make_shared<const gemm::PackedB>(gemm::pack_weights_bt(
-      weight_.value.data().data(), in_features_, out_features_));
+  if (kernel_ != nullptr) return;  // idempotent — no writes once installed
+  kernel_ = std::make_shared<const Fp32PrepackedKernel>(
+      weight_.value, bias_ != nullptr ? &bias_->value : nullptr);
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {

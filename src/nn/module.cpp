@@ -12,6 +12,15 @@ std::vector<Parameter*> Module::parameters() {
   return out;
 }
 
+std::vector<Module*> Module::modules() {
+  std::vector<Module*> out{this};
+  for (auto& c : children_) {
+    auto sub = c.module->modules();
+    out.insert(out.end(), sub.begin(), sub.end());
+  }
+  return out;
+}
+
 int64_t Module::parameter_count() {
   int64_t n = 0;
   for (Parameter* p : parameters()) n += p->value.numel();

@@ -60,8 +60,8 @@ Tensor TransformerEncoder::forward(const Tensor& tokens) {
 }
 
 Tensor TransformerEncoder::infer(const Tensor& tokens) const {
-  Tensor x = tokens;
-  for (const auto& block : blocks_) x = block->infer(x);
+  Tensor x = blocks_.front()->infer(tokens);  // no copy of the input
+  for (size_t i = 1; i < blocks_.size(); ++i) x = blocks_[i]->infer(x);
   return final_ln_.infer(x);
 }
 

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "tensor/arena.h"
-#include "tensor/gemm.h"
-#include "tensor/kernel_pool.h"
 #include "tensor/profile.h"
 
 #if defined(__AVX512BW__)
@@ -55,22 +53,9 @@ constexpr int64_t kNC = 128;
 
 // Bounded like the fp32 workspaces (tensor/gemm.cpp): exact reservation, no
 // geometric overshoot, capacity ≤ one KC slab of panels per operand, storage
-// released on thread exit by the thread_local destructors or eagerly by
-// gemm::pack_workspace_release() via the releaser registered below.
+// released on thread exit by the thread_local destructors.
 thread_local std::vector<int16_t> tl_apack;
 thread_local std::vector<int16_t> tl_wpack;
-
-void release_pack_workspaces_i16() {
-  std::vector<int16_t>().swap(tl_apack);
-  std::vector<int16_t>().swap(tl_wpack);
-}
-
-// Runs during static init of any binary linking this TU (both statics in the
-// registry are constant-initialized, so cross-TU init order is safe).
-[[maybe_unused]] const bool pack_releaser_registered = [] {
-  gemm::register_pack_workspace_releaser(&release_pack_workspaces_i16);
-  return true;
-}();
 
 int16_t* pack_workspace_i16(std::vector<int16_t>& ws, int64_t elems) {
   const auto n = static_cast<size_t>(elems);
@@ -195,9 +180,7 @@ void micro_kernel_i8(const int16_t* __restrict ap, const int16_t* __restrict wp,
 
 /// One MC slab of one (KC, NC) block: packs the slab's A panels into the
 /// calling thread's workspace and runs the int8 micro-kernel grid against an
-/// already-packed W block — the unit of work the kernel pool distributes.
-/// Disjoint C rows per slab + unchanged per-element accumulation order keep
-/// the split bit-exact (and integer addition is associative anyway).
+/// already-packed W block.
 void run_mc_slab_i8(const int8_t* a, int64_t k, int64_t ic, int64_t m,
                     int64_t pc, int64_t kc, int64_t jc, int64_t npanels,
                     const int16_t* wpack, int32_t* acc, int64_t n,
@@ -221,18 +204,6 @@ void run_mc_slab_i8(const int8_t* a, int64_t k, int64_t ic, int64_t m,
                       first);
     }
   }
-}
-
-/// Runs every MC slab of one (KC, NC) block, splitting across the kernel
-/// pool when enabled, free, and past the row threshold.
-template <typename SlabFn>
-void for_each_mc_slab(int64_t m, const SlabFn& slab) {
-  const int64_t nslabs = (m + kMC - 1) / kMC;
-  if (m >= gemm::kKernelPoolMinRows) {
-    gemm::parallel_slabs(nslabs, [&](int64_t s) { slab(s * kMC); });
-    return;
-  }
-  for (int64_t s = 0; s < nslabs; ++s) slab(s * kMC);
 }
 
 }  // namespace
@@ -270,10 +241,9 @@ void int8_gemm_bt_packed(std::span<const int8_t> a, int32_t a_zero_point,
         // W is [n, k] row-major — the same rows-into-panels pack as A.
         pack_rows(w.data(), k, jc, nc, pc, kc, kNR, wpack);
       }
-      for_each_mc_slab(m, [&](int64_t ic) {
+      for (int64_t ic = 0; ic < m; ic += kMC)
         run_mc_slab_i8(a.data(), k, ic, m, pc, kc, jc, npanels, wpack,
                        acc.data(), n, corr.data(), first);
-      });
     }
   }
 }
@@ -336,10 +306,9 @@ void int8_gemm_bt_prepacked(std::span<const int8_t> a, int32_t a_zero_point,
     for (int64_t jc = 0; jc < n; jc += kNC) {
       const int64_t nc = std::min(kNC, n - jc);
       const int64_t npanels = (nc + kNR - 1) / kNR;
-      for_each_mc_slab(m, [&](int64_t ic) {
+      for (int64_t ic = 0; ic < m; ic += kMC)
         run_mc_slab_i8(a.data(), k, ic, m, pc, kc, jc, npanels, block,
                        acc.data(), n, corr.data(), first);
-      });
       block += npanels * kNR * plen;
     }
   }

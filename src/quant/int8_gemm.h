@@ -38,8 +38,9 @@ void int8_gemm_bt_packed(std::span<const int8_t> a, int32_t a_zero_point,
 /// A weight matrix widened and packed ONCE into the int16 k-pair NR-lane
 /// panels int8_gemm_bt_packed otherwise builds per call (the vpmaddwd /
 /// AVX512-VNNI operand shape), stored in the (KC-slab, NC-slab) order the
-/// driver visits them. Built at publish time via QuantizedWeight::prepack();
-/// read-only after construction, safe to share across inference workers.
+/// blocked loops visit them. Built once via QuantizedWeight::prepack() (by
+/// the INT8 serving kernels QuantizedVit::finalize installs); read-only
+/// after construction, safe to share across inference workers.
 struct PackedWeightInt8 {
   int64_t k = 0;  // inner (reduction) extent
   int64_t n = 0;  // output columns (= weight rows in the [N,K] layout)
@@ -56,9 +57,7 @@ PackedWeightInt8 pack_weights_int8(std::span<const int8_t> w, int64_t n,
 
 /// int8_gemm_bt_packed with the weight pre-packed. Integer addition is
 /// associative and the panels/loop order are identical, so this is
-/// bit-identical to both packed and naive variants — including when the
-/// kernel pool (tensor/kernel_pool.h) splits the MC-slab loop across
-/// threads for m ≥ gemm::kKernelPoolMinRows.
+/// bit-identical to both packed and naive variants.
 void int8_gemm_bt_prepacked(std::span<const int8_t> a, int32_t a_zero_point,
                             const PackedWeightInt8& w,
                             std::span<const int32_t> w_row_sums,

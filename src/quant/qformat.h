@@ -69,8 +69,7 @@ struct QuantizedWeight {
   std::vector<int32_t> row_sums;  // size `out`
   /// Serving-time cache: the weight pre-packed into the kernel's int16
   /// k-pair panels (consumed by qlinear_forward → int8_gemm_bt_prepacked).
-  /// Null until prepack(); shared so snapshots holding the same model share
-  /// one packing.
+  /// Null until prepack().
   std::shared_ptr<const PackedWeightInt8> packed;
 
   float scale_for_row(int64_t row) const {
@@ -79,9 +78,8 @@ struct QuantizedWeight {
   }
 
   /// Builds `packed` once (defined in int8_gemm.cpp). Idempotent: once
-  /// packed, later calls are pure reads, so re-publishing a model an
-  /// installed snapshot already serves performs no writes. Publish-time
-  /// only — quantized weights never change after finalize().
+  /// packed, later calls are pure reads. Quantized weights never change
+  /// after quantize_weight(), so the cache never goes stale.
   void prepack();
 };
 

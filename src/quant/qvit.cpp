@@ -1,108 +1,71 @@
 #include "quant/qvit.h"
 
-#include <cmath>
-
-#include "nn/attention.h"
-#include "nn/embedding.h"
-#include "nn/layernorm.h"
-#include "tensor/ops.h"
+#include "quant/int8_gemm.h"
 
 namespace itask::quant {
 
 namespace {
 
-Tensor fetch(const io::StateDict& state, const std::string& key) {
-  const auto it = state.find(key);
-  ITASK_CHECK(it != state.end(), "QuantizedVit: missing key " + key);
-  return it->second;
-}
+/// Calibration kernel: records the Linear's input, then computes exactly the
+/// unquantized linear_fp32, so every downstream activation — and therefore
+/// every calibrated range — is the fp32 model's.
+class ObservingKernel final : public nn::LinearKernel {
+ public:
+  ObservingKernel(Calibrator& calibrator, nn::Linear& linear)
+      : calibrator_(calibrator),
+        weight_(linear.weight().value),
+        bias_(linear.bias() != nullptr ? &linear.bias()->value : nullptr) {}
 
-Tensor fetch_or_empty(const io::StateDict& state, const std::string& key) {
-  const auto it = state.find(key);
-  return it != state.end() ? it->second : Tensor();
-}
+  Tensor apply(const Tensor& x) const override {
+    calibrator_.observe(x);
+    return nn::linear_fp32(x, weight_, bias_);
+  }
+
+ private:
+  Calibrator& calibrator_;
+  const Tensor& weight_;
+  const Tensor* bias_;
+};
+
+/// INT8 serving kernel: qlinear_forward over the quantized weight, packed
+/// once here for int8_gemm_bt_prepacked.
+class Int8Kernel final : public nn::LinearKernel {
+ public:
+  Int8Kernel(nn::Linear& linear, const QuantParams& act,
+             const QuantOptions& options)
+      : weight_(quantize_weight(linear.weight().value, options.granularity,
+                                options.weight_bits)),
+        act_(act),
+        bias_(linear.bias() != nullptr ? linear.bias()->value : Tensor()) {
+    weight_.prepack();
+  }
+
+  Tensor apply(const Tensor& x) const override {
+    return qlinear_forward(x, act_, weight_, bias_.empty() ? nullptr : &bias_);
+  }
+
+ private:
+  QuantizedWeight weight_;
+  QuantParams act_;
+  Tensor bias_;
+};
 
 }  // namespace
 
-QLinearLayer::QLinearLayer(Tensor weight, Tensor bias,
-                           const QuantOptions& options)
-    : fp32_weight_(std::move(weight)),
-      bias_(std::move(bias)),
-      calibrator_(make_calibrator(options.method)) {
-  ITASK_CHECK(fp32_weight_.ndim() == 2, "QLinearLayer: weight must be 2-D");
-}
-
-Tensor QLinearLayer::forward_calibrating(const Tensor& x) {
-  ITASK_CHECK(calibrator_ != nullptr,
-              "QLinearLayer: calibration already finalized");
-  calibrator_->observe(x);
-  Tensor y = ops::matmul_bt(
-      x.reshape({x.numel() / fp32_weight_.dim(1), fp32_weight_.dim(1)}),
-      fp32_weight_);
-  if (!bias_.empty()) y = ops::add_rowwise(y, bias_);
-  Shape out_shape = x.shape();
-  out_shape.back() = fp32_weight_.dim(0);
-  return y.reshape(std::move(out_shape));
-}
-
-Tensor QLinearLayer::forward(const Tensor& x) const {
-  ITASK_CHECK(finalized_, "QLinearLayer: forward before finalize");
-  return qlinear_forward(x, act_, qweight_, bias_.empty() ? nullptr : &bias_);
-}
-
-void QLinearLayer::finalize(const QuantOptions& options) {
-  ITASK_CHECK(calibrator_ != nullptr, "QLinearLayer: double finalize");
-  act_ = calibrator_->finalize().with_bits(options.activation_bits);
-  qweight_ =
-      quantize_weight(fp32_weight_, options.granularity, options.weight_bits);
-  calibrator_.reset();
-  finalized_ = true;
-}
-
-void QLinearLayer::prepack() {
-  ITASK_CHECK(finalized_, "QLinearLayer: prepack before finalize");
-  qweight_.prepack();
-}
-
 QuantizedVit::QuantizedVit(const vit::ViTConfig& config,
                            const io::StateDict& state, QuantOptions options)
-    : config_(config), options_(options) {
-  patch_proj_ = QLinearLayer(fetch(state, "embed.proj.weight"),
-                             fetch_or_empty(state, "embed.proj.bias"),
-                             options_);
-  cls_ = fetch(state, "embed.cls");
-  pos_ = fetch(state, "embed.pos");
-  for (int64_t i = 0; i < config_.depth; ++i) {
-    const std::string p = "encoder.block" + std::to_string(i) + ".";
-    Block blk;
-    blk.ln1 = {fetch(state, p + "ln1.gamma"), fetch(state, p + "ln1.beta")};
-    blk.ln2 = {fetch(state, p + "ln2.gamma"), fetch(state, p + "ln2.beta")};
-    blk.qkv = QLinearLayer(fetch(state, p + "attn.qkv.weight"),
-                           fetch_or_empty(state, p + "attn.qkv.bias"),
-                           options_);
-    blk.proj = QLinearLayer(fetch(state, p + "attn.proj.weight"),
-                            fetch_or_empty(state, p + "attn.proj.bias"),
-                            options_);
-    blk.fc1 = QLinearLayer(fetch(state, p + "fc1.weight"),
-                           fetch_or_empty(state, p + "fc1.bias"), options_);
-    blk.fc2 = QLinearLayer(fetch(state, p + "fc2.weight"),
-                           fetch_or_empty(state, p + "fc2.bias"), options_);
-    blocks_.push_back(std::move(blk));
+    : options_(options) {
+  Rng rng(0);  // the initial weights are all overwritten by the state
+  model_ = std::make_unique<vit::VitModel>(config, rng);
+  model_->load_state_dict(state);
+  for (nn::Module* module : model_->modules()) {
+    auto* linear = dynamic_cast<nn::Linear*>(module);
+    if (linear == nullptr) continue;
+    linears_.push_back(linear);
+    calibrators_.push_back(make_calibrator(options_.method));
+    linear->set_kernel(
+        std::make_shared<const ObservingKernel>(*calibrators_.back(), *linear));
   }
-  final_ln_ = {fetch(state, "encoder.final_ln.gamma"),
-               fetch(state, "encoder.final_ln.beta")};
-  obj_head_ = QLinearLayer(fetch(state, "obj_head.weight"),
-                           fetch_or_empty(state, "obj_head.bias"), options_);
-  cls_head_ = QLinearLayer(fetch(state, "cls_head.weight"),
-                           fetch_or_empty(state, "cls_head.bias"), options_);
-  attr_head_ = QLinearLayer(fetch(state, "attr_head.weight"),
-                            fetch_or_empty(state, "attr_head.bias"), options_);
-  box_fc1_ = QLinearLayer(fetch(state, "box_fc1.weight"),
-                          fetch_or_empty(state, "box_fc1.bias"), options_);
-  box_fc2_ = QLinearLayer(fetch(state, "box_fc2.weight"),
-                          fetch_or_empty(state, "box_fc2.bias"), options_);
-  rel_head_ = QLinearLayer(fetch(state, "rel_head.weight"),
-                           fetch_or_empty(state, "rel_head.bias"), options_);
 }
 
 QuantizedVit QuantizedVit::from_model(vit::VitModel& model,
@@ -110,150 +73,33 @@ QuantizedVit QuantizedVit::from_model(vit::VitModel& model,
   return QuantizedVit(model.config(), model.state_dict(), options);
 }
 
-template <typename Self, typename Apply>
-vit::VitOutput QuantizedVit::run(Self& self, const Tensor& images,
-                                 Apply&& apply) {
-  const int64_t b = images.dim(0);
-  const int64_t t = self.config_.tokens();
-  const int64_t d = self.config_.dim;
-  // Patch embedding.
-  Tensor patches = nn::patchify(images, self.config_.patch_size);
-  Tensor projected = apply(self.patch_proj_, patches);  // [B, T, D]
-  Tensor x({b, t + 1, d});
-  {
-    auto o = x.data();
-    auto pd = projected.data();
-    auto cls = self.cls_.data();
-    auto pos = self.pos_.data();
-    for (int64_t bi = 0; bi < b; ++bi) {
-      float* base = o.data() + bi * (t + 1) * d;
-      for (int64_t j = 0; j < d; ++j) base[j] = cls[j] + pos[j];
-      for (int64_t ti = 0; ti < t; ++ti) {
-        const float* src = pd.data() + (bi * t + ti) * d;
-        float* dst = base + (ti + 1) * d;
-        const float* prow = pos.data() + (ti + 1) * d;
-        for (int64_t j = 0; j < d; ++j) dst[j] = src[j] + prow[j];
-      }
-    }
-  }
-  // Encoder blocks.
-  const float scale =
-      1.0f / std::sqrt(static_cast<float>(d / self.config_.heads));
-  for (auto& blk : self.blocks_) {
-    Tensor normed = nn::layernorm_affine(x, blk.ln1.gamma, blk.ln1.beta);
-    Tensor qkv = apply(blk.qkv, normed);  // [B, T+1, 3D]
-    const int64_t rows = b * (t + 1);
-    Tensor q({b, t + 1, d}), k({b, t + 1, d}), v({b, t + 1, d});
-    {
-      auto src = qkv.data();
-      auto qd = q.data(), kd = k.data(), vd = v.data();
-      for (int64_t r = 0; r < rows; ++r) {
-        const float* row = src.data() + r * 3 * d;
-        std::copy(row, row + d, qd.data() + r * d);
-        std::copy(row + d, row + 2 * d, kd.data() + r * d);
-        std::copy(row + 2 * d, row + 3 * d, vd.data() + r * d);
-      }
-    }
-    Tensor qh = nn::split_heads(q, self.config_.heads);
-    Tensor kh = nn::split_heads(k, self.config_.heads);
-    Tensor vh = nn::split_heads(v, self.config_.heads);
-    Tensor attn = ops::softmax_lastdim(
-        ops::mul_scalar(ops::bmm_bt(qh, kh), scale));
-    Tensor ctx = nn::merge_heads(ops::bmm(attn, vh), self.config_.heads);
-    Tensor attn_out = apply(blk.proj, ctx);
-    x = ops::add(x, attn_out);
-    Tensor normed2 = nn::layernorm_affine(x, blk.ln2.gamma, blk.ln2.beta);
-    Tensor mlp = apply(blk.fc2, ops::gelu(apply(blk.fc1, normed2)));
-    x = ops::add(x, mlp);
-  }
-  Tensor tokens =
-      nn::layernorm_affine(x, self.final_ln_.gamma, self.final_ln_.beta);
-  // Patch tokens → heads.
-  Tensor patch_feats({b, t, d});
-  {
-    auto in = tokens.data();
-    auto o = patch_feats.data();
-    for (int64_t bi = 0; bi < b; ++bi) {
-      const float* src = in.data() + (bi * (t + 1) + 1) * d;
-      std::copy(src, src + t * d, o.data() + bi * t * d);
-    }
-  }
-  vit::VitOutput out;
-  out.objectness = apply(self.obj_head_, patch_feats);
-  out.class_logits = apply(self.cls_head_, patch_feats);
-  out.attr_logits = apply(self.attr_head_, patch_feats);
-  out.box_deltas =
-      apply(self.box_fc2_, ops::gelu(apply(self.box_fc1_, patch_feats)));
-  out.relevance = apply(self.rel_head_, patch_feats);
-  out.features = std::move(tokens);
-  return out;
-}
-
 void QuantizedVit::calibrate(const Tensor& images) {
   ITASK_CHECK(!finalized_, "QuantizedVit: calibrate after finalize");
-  (void)run(*this, images, [](QLinearLayer& layer, const Tensor& x) {
-    return layer.forward_calibrating(x);
-  });
+  (void)model_->infer(images);
 }
 
 void QuantizedVit::finalize() {
   ITASK_CHECK(!finalized_, "QuantizedVit: double finalize");
-  patch_proj_.finalize(options_);
-  for (Block& blk : blocks_) {
-    blk.qkv.finalize(options_);
-    blk.proj.finalize(options_);
-    blk.fc1.finalize(options_);
-    blk.fc2.finalize(options_);
+  for (size_t i = 0; i < linears_.size(); ++i) {
+    const QuantParams act =
+        calibrators_[i]->finalize().with_bits(options_.activation_bits);
+    linears_[i]->set_kernel(
+        std::make_shared<const Int8Kernel>(*linears_[i], act, options_));
   }
-  obj_head_.finalize(options_);
-  cls_head_.finalize(options_);
-  attr_head_.finalize(options_);
-  box_fc1_.finalize(options_);
-  box_fc2_.finalize(options_);
-  rel_head_.finalize(options_);
+  calibrators_.clear();
   finalized_ = true;
-}
-
-void QuantizedVit::prepack() {
-  ITASK_CHECK(finalized_, "QuantizedVit: prepack before finalize");
-  patch_proj_.prepack();
-  for (Block& blk : blocks_) {
-    blk.qkv.prepack();
-    blk.proj.prepack();
-    blk.fc1.prepack();
-    blk.fc2.prepack();
-  }
-  obj_head_.prepack();
-  cls_head_.prepack();
-  attr_head_.prepack();
-  box_fc1_.prepack();
-  box_fc2_.prepack();
-  rel_head_.prepack();
 }
 
 vit::VitOutput QuantizedVit::forward(const Tensor& images) const {
   ITASK_CHECK(finalized_, "QuantizedVit: forward before finalize");
-  return run(*this, images, [](const QLinearLayer& layer, const Tensor& x) {
-    return layer.forward(x);
-  });
+  return model_->infer(images);
 }
 
 int64_t QuantizedVit::quantized_weight_bytes() const {
   ITASK_CHECK(finalized_, "QuantizedVit: not finalized");
-  int64_t bytes = static_cast<int64_t>(
-      patch_proj_.quantized_weight().data.size());
-  for (const Block& blk : blocks_) {
-    bytes += static_cast<int64_t>(blk.qkv.quantized_weight().data.size());
-    bytes += static_cast<int64_t>(blk.proj.quantized_weight().data.size());
-    bytes += static_cast<int64_t>(blk.fc1.quantized_weight().data.size());
-    bytes += static_cast<int64_t>(blk.fc2.quantized_weight().data.size());
-  }
-  bytes += static_cast<int64_t>(obj_head_.quantized_weight().data.size());
-  bytes += static_cast<int64_t>(cls_head_.quantized_weight().data.size());
-  bytes += static_cast<int64_t>(attr_head_.quantized_weight().data.size());
-  bytes += static_cast<int64_t>(box_fc1_.quantized_weight().data.size());
-  bytes += static_cast<int64_t>(box_fc2_.quantized_weight().data.size());
-  bytes += static_cast<int64_t>(rel_head_.quantized_weight().data.size());
+  int64_t bytes = 0;  // one int8 per weight
+  for (const nn::Linear* linear : linears_)
+    bytes += linear->in_features() * linear->out_features();
   return bytes;
 }
 

@@ -1,10 +1,10 @@
 // Post-training-quantized ViT runtime.
 //
-// Built from a trained VitModel's state dict, this reconstructs the forward
-// pass with INT8 weight GEMMs (symmetric weights, calibrated asymmetric
-// activations) while keeping LayerNorm / softmax / GELU in FP32 — the
-// standard edge recipe. Attention's activation×activation products also stay
-// FP32 (they carry no static weights to stage on the accelerator).
+// The student architecture itself — a vit::VitModel loaded from the trained
+// model's state dict — whose every nn::Linear runs an INT8 serving kernel
+// (symmetric weights, calibrated asymmetric activations). LayerNorm /
+// softmax / GELU and attention's activation×activation products stay fp32
+// in the shared VitModel::infer body — the standard edge recipe.
 //
 // Usage: construct → run calibrate() over representative images → finalize()
 // → forward() runs the INT8 path.
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "quant/calibrate.h"
-#include "quant/int8_gemm.h"
 #include "tensor/io.h"
 #include "vit/model.h"
 
@@ -29,42 +28,11 @@ struct QuantOptions {
   int activation_bits = 8;
 };
 
-/// One quantized linear layer plus its calibration state.
-class QLinearLayer {
- public:
-  QLinearLayer() = default;
-  QLinearLayer(Tensor weight, Tensor bias, const QuantOptions& options);
-
-  /// FP32 reference path; observes activations when a calibrator is active.
-  Tensor forward_calibrating(const Tensor& x);
-
-  /// INT8 path (requires finalize()).
-  Tensor forward(const Tensor& x) const;
-
-  void finalize(const QuantOptions& options);
-  bool finalized() const { return finalized_; }
-
-  /// Builds the int16 k-pair panel cache int8_gemm_bt_prepacked consumes
-  /// (requires finalize()). Publish-time only; idempotent and write-free
-  /// once packed.
-  void prepack();
-  bool prepacked() const { return qweight_.packed != nullptr; }
-
-  const QuantizedWeight& quantized_weight() const { return qweight_; }
-  const QuantParams& activation_params() const { return act_; }
-
- private:
-  Tensor fp32_weight_;  // [out, in]
-  Tensor bias_;         // may be empty
-  std::unique_ptr<Calibrator> calibrator_;
-  QuantizedWeight qweight_;
-  QuantParams act_;
-  bool finalized_ = false;
-};
-
 /// The full quantized detection-ViT.
 class QuantizedVit {
  public:
+  /// Loads `state` into a VitModel of `config`; missing keys and shape
+  /// mismatches throw (VitModel::load_state_dict).
   QuantizedVit(const vit::ViTConfig& config, const io::StateDict& state,
                QuantOptions options = {});
 
@@ -72,51 +40,31 @@ class QuantizedVit {
   static QuantizedVit from_model(vit::VitModel& model,
                                  QuantOptions options = {});
 
-  /// Runs the FP32 path over calibration images, recording activations.
+  /// Runs the fp32 model over calibration images, recording every Linear's
+  /// input activations.
   void calibrate(const Tensor& images);
 
-  /// Freezes activation ranges and quantizes all weights.
+  /// Freezes activation ranges, quantizes all weights and installs the INT8
+  /// kernels, their weights pre-packed for int8_gemm_bt_prepacked.
   void finalize();
 
-  /// Pre-packs every quantized layer's weight for the serving kernels
-  /// (requires finalize()). Framework::publish() calls this on the model a
-  /// snapshot captures; idempotent, so re-publishing an already-served
-  /// model performs no writes.
-  void prepack();
-
-  /// INT8 inference. Output mirrors VitModel::forward. Const and cache-free
-  /// once finalized, so many threads may run it on one model concurrently.
+  /// INT8 inference: VitModel::infer through the INT8 kernels. Const and
+  /// cache-free once finalized, so many threads may run it on one model
+  /// concurrently.
   vit::VitOutput forward(const Tensor& images) const;
 
-  const vit::ViTConfig& config() const { return config_; }
+  const vit::ViTConfig& config() const { return model_->config(); }
   const QuantOptions& options() const { return options_; }
 
   /// Total INT8 weight bytes (model footprint after quantization).
   int64_t quantized_weight_bytes() const;
 
  private:
-  struct LnParams {
-    Tensor gamma;
-    Tensor beta;
-  };
-  struct Block {
-    LnParams ln1, ln2;
-    QLinearLayer qkv, proj, fc1, fc2;
-  };
-
-  /// Shared forward skeleton; `Linear` is invoked through `apply`. `Self` is
-  /// `QuantizedVit` (calibration observes activations) or `const
-  /// QuantizedVit` (finalized inference), deduced from the call site.
-  template <typename Self, typename Apply>
-  static vit::VitOutput run(Self& self, const Tensor& images, Apply&& apply);
-
-  vit::ViTConfig config_;
   QuantOptions options_;
-  QLinearLayer patch_proj_;
-  Tensor cls_, pos_;
-  std::vector<Block> blocks_;
-  LnParams final_ln_;
-  QLinearLayer obj_head_, cls_head_, attr_head_, box_fc1_, box_fc2_, rel_head_;
+  std::unique_ptr<vit::VitModel> model_;
+  std::vector<nn::Linear*> linears_;  // every Linear of model_
+  /// One per Linear while calibrating; empty once finalized.
+  std::vector<std::unique_ptr<Calibrator>> calibrators_;
   bool finalized_ = false;
 };
 

@@ -6,7 +6,6 @@
 
 #include "tensor/arena.h"
 #include "tensor/format.h"
-#include "tensor/kernel_pool.h"
 
 namespace itask::runtime {
 
@@ -52,13 +51,6 @@ InferenceServer::InferenceServer(
               "InferenceServer: max_wait_us must be >= 0");
   ITASK_CHECK(options_.deadline_us >= 0,
               "InferenceServer: deadline_us must be >= 0");
-  ITASK_CHECK(options_.kernel_threads >= 0,
-              "InferenceServer: kernel_threads must be >= 0");
-  // Opt-in multi-core kernels: size the process-wide pool the snapshot
-  // inference GEMMs split slab loops across. Left untouched at the default
-  // (0) so plain servers stay single-core per worker.
-  if (options_.kernel_threads > 0)
-    gemm::KernelPool::instance().configure(options_.kernel_threads);
   // The initial snapshot counts as one publish; its tasks were never
   // *onboarded* live. (The init list above already created every admission
   // counter, so a scrape before the first install/request sees them all.)
@@ -66,10 +58,8 @@ InferenceServer::InferenceServer(
   // Size the per-worker arenas before any worker exists: the snapshot
   // measures its own peak workspace (stacked batch + every inference
   // intermediate) for the largest micro-batch this server forms.
-  if (options_.use_arena) {
-    workspace_bytes_.store(snapshot_->plan_workspace(options_.max_batch),
-                           std::memory_order_relaxed);
-  }
+  workspace_bytes_.store(snapshot_->plan_workspace(options_.max_batch),
+                         std::memory_order_relaxed);
   workers_.reserve(static_cast<size_t>(options_.workers));
   for (int64_t w = 0; w < options_.workers; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -86,12 +76,10 @@ void InferenceServer::install_snapshot(
   // the lock (the probe runs real inference). The published bound only ever
   // grows: in-flight batches may still serve the old snapshot, and workers
   // grow their arenas lazily at the next micro-batch boundary.
-  if (options_.use_arena) {
-    const int64_t bytes = snapshot->plan_workspace(options_.max_batch);
-    int64_t cur = workspace_bytes_.load(std::memory_order_relaxed);
-    while (bytes > cur && !workspace_bytes_.compare_exchange_weak(
-                              cur, bytes, std::memory_order_relaxed)) {
-    }
+  const int64_t bytes = snapshot->plan_workspace(options_.max_batch);
+  int64_t cur = workspace_bytes_.load(std::memory_order_relaxed);
+  while (bytes > cur && !workspace_bytes_.compare_exchange_weak(
+                            cur, bytes, std::memory_order_relaxed)) {
   }
   int64_t onboarded = 0;
   {
@@ -370,18 +358,13 @@ void InferenceServer::worker_loop(int64_t worker_index) {
   Counter& batches = metrics_.counter("batches");
   Counter& hot_allocs = metrics_.counter("hot_path_allocs");
   Counter& arena_overflow = metrics_.counter("arena_overflow_allocs");
-  Histogram& queue_h = metrics_.histogram("queue_us");
-  Histogram& infer_h = metrics_.histogram("infer_us");
-  Histogram& total_h = metrics_.histogram("total_us");
   Histogram& batch_h = metrics_.histogram("batch_size");
   Histogram& arena_used_h = metrics_.histogram("arena_used_bytes");
 
   // This worker's whole steady state lives in storage hoisted out of the
   // loop: the micro-batch vector and done/group scratch reuse their heap
   // capacity forever, and the arena serves the per-group hot region.
-  Arena arena(options_.use_arena
-                  ? workspace_bytes_.load(std::memory_order_relaxed)
-                  : 0);
+  Arena arena(workspace_bytes_.load(std::memory_order_relaxed));
   int64_t overflow_seen = 0;
   std::vector<Pending> batch;
   std::vector<char> done;
@@ -399,10 +382,8 @@ void InferenceServer::worker_loop(int64_t worker_index) {
     // A newly installed snapshot may have published a larger workspace
     // bound; the arena is empty between groups, so growing here (outside
     // the measured hot region) is legal and rare.
-    if (options_.use_arena) {
-      const int64_t want = workspace_bytes_.load(std::memory_order_relaxed);
-      if (want > arena.capacity()) arena.grow(want);
-    }
+    const int64_t want = workspace_bytes_.load(std::memory_order_relaxed);
+    if (want > arena.capacity()) arena.grow(want);
     const int64_t picked_us = clock_();
     batches.increment();
     batch_h.record(static_cast<double>(batch.size()));
@@ -488,8 +469,7 @@ void InferenceServer::worker_loop(int64_t worker_index) {
         vit::VitOutput raw;
         const int64_t allocs_before = allocdebug::thread_alloc_count();
         {
-          std::optional<ArenaScope> scope;
-          if (options_.use_arena) scope.emplace(arena);
+          const ArenaScope scope(arena);
           const Shape& img = batch[i].image.shape();
           if (group.size() == 1) {
             // Singleton group: serve a borrowed [1, C, H, W] view over the
@@ -545,15 +525,13 @@ void InferenceServer::worker_loop(int64_t worker_index) {
       // Per-group arena epilogue, on success and failure alike: record the
       // footprint, surface any undersized-arena overflows, and reset —
       // `raw` is gone, so nothing references arena memory past this point.
-      if (options_.use_arena) {
-        arena_used_h.record(static_cast<double>(arena.used()));
-        const int64_t overflows = arena.overflow_allocs();
-        if (overflows > overflow_seen) {
-          arena_overflow.increment(overflows - overflow_seen);
-          overflow_seen = overflows;
-        }
-        arena.reset();
+      arena_used_h.record(static_cast<double>(arena.used()));
+      const int64_t overflows = arena.overflow_allocs();
+      if (overflows > overflow_seen) {
+        arena_overflow.increment(overflows - overflow_seen);
+        overflow_seen = overflows;
       }
+      arena.reset();
       if (group_failed) continue;
 
       for (size_t g = 0; g < group.size(); ++g) {
@@ -575,9 +553,6 @@ void InferenceServer::worker_loop(int64_t worker_index) {
         result.infer_us = span_us(t.infer_start_us, t.infer_end_us);
         result.total_us = span_us(t.admitted_us, t.infer_end_us);
         result.timeline = t;
-        queue_h.record(result.queue_us);
-        infer_h.record(result.infer_us);
-        total_h.record(result.total_us);
         stages_.completed(t);
         completed.increment();
         // Group views gather here instead of resolving their own future; the

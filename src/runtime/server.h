@@ -22,8 +22,7 @@
 // configurations — the FP32 task-specific student and the INT8 multi-task
 // student — serve real requests concurrently from one published deployment.
 //
-// Steady-state serving is allocation-free (RuntimeOptions::use_arena): each
-// worker owns a bump arena (tensor/arena.h) sized from the snapshot's own
+// Steady-state serving is allocation-free: each worker owns a bump arena (tensor/arena.h) sized from the snapshot's own
 // measurement (DeploymentSnapshot::plan_workspace) and binds it around the
 // hot region — a singleton group serves through a borrowed view of the
 // request's tensor, larger groups stack into an arena-backed tensor, and
@@ -31,7 +30,8 @@
 // decode (Detections escape into results, so they must stay heap-backed)
 // and the arena resets once per (config, task) group. test_runtime asserts
 // both halves of the contract: zero heap allocations in the scoped region
-// after warmup, and detections element-wise identical to the heap path.
+// after warmup, and detections element-wise identical to the serial
+// (heap-backed) Framework::detect_batch path.
 //
 // Determinism contract: inference is cache-free and batch-composition-
 // invariant, so every request's detections are element-wise identical to a
@@ -137,23 +137,6 @@ struct RuntimeOptions {
   /// FakeClock::fn() for exact stage durations. Micro-batch max_wait
   /// blocking in the queue stays on the real clock regardless.
   ClockFn clock_us;
-  /// Lanes in the process-wide GEMM kernel pool (tensor/kernel_pool.h) that
-  /// snapshot inference may split MC-slab loops across once a micro-batch's
-  /// row count clears gemm::kKernelPoolMinRows. 0 (default) leaves every
-  /// kernel single-core — the repo-wide bench budget; bench_f6_runtime is
-  /// the sanctioned multi-core exception. Applied at server construction via
-  /// KernelPool::configure (the pool is shared process-wide and outlives the
-  /// server). Results are bit-exact at any setting.
-  int64_t kernel_threads = 0;
-  /// Per-worker bump arenas for the inference hot path (tensor/arena.h):
-  /// each worker owns an arena sized from DeploymentSnapshot::
-  /// plan_workspace(max_batch) and binds it around batch stacking + model
-  /// inference, so steady-state serving performs zero heap allocations in
-  /// that region (test_runtime proves it with an instrumented allocator).
-  /// Results are element-wise identical to the heap path — the arena only
-  /// changes where intermediates live, never the arithmetic. Off = every
-  /// intermediate heap-allocates as before (the bench_f6_runtime A/B).
-  bool use_arena = true;
   /// Cross-view fusion parameters for try_submit_group gathers
   /// (detect::fuse_views). Fusion runs on the worker delivering a group's
   /// last view, after that worker's arena epilogue — outside the ArenaScope

@@ -1,10 +1,8 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
-#include "tensor/kernel_pool.h"
 #include "tensor/profile.h"
 
 namespace itask::gemm {
@@ -24,14 +22,12 @@ enum class ALayout { kMK, kKM };  // row-major [M,K] vs transposed [K,M]
 enum class BLayout { kKN, kNK };  // row-major [K,N] vs transposed [N,K]
 
 // Per-thread packing workspaces, reused across calls. Thread-local keeps the
-// concurrent infer paths (runtime workers, kernel-pool lanes) contention-
-// and race-free. Growth is bounded: pack_workspace() reserves exactly the
-// requested slab (no geometric resize() overshoot) and no slab exceeds
-// kMC·kKC (A) / kNC·kKC (B) floats — 128 KiB each — so per-thread footprint
-// never passes pack_workspace_cap_bytes(). The thread_local storage itself
-// is released by the vector destructors when the owning thread exits, or
-// eagerly via pack_workspace_release() (KernelPool lanes call it as they
-// retire so a reconfigured pool strands nothing).
+// concurrent infer paths (runtime workers) contention- and race-free.
+// Growth is bounded: pack_workspace() reserves exactly the requested slab
+// (no geometric resize() overshoot) and no slab exceeds kMC·kKC (A) /
+// kNC·kKC (B) floats — 128 KiB each — so per-thread footprint never passes
+// pack_workspace_cap_bytes(). The thread_local storage itself is released
+// by the vector destructors when the owning thread exits.
 thread_local std::vector<float> tl_apack;
 thread_local std::vector<float> tl_bpack;
 
@@ -169,10 +165,7 @@ void micro_kernel(const float* __restrict ap, const float* __restrict bp,
 
 /// One MC slab of one (KC, NC) block: packs the slab's A panels into the
 /// calling thread's workspace and runs the micro-kernel grid against an
-/// already-packed B block. The unit of work the kernel pool distributes —
-/// each slab writes a disjoint C row range, and each element's accumulation
-/// order is exactly the serial loop's, so splitting slabs across threads is
-/// bit-exact.
+/// already-packed B block.
 void run_mc_slab(const float* a, ALayout alay, int64_t lda, int64_t ic,
                  int64_t m, int64_t pc, int64_t kc, int64_t jc,
                  int64_t npanels, const float* bpack, float* c, int64_t n) {
@@ -195,18 +188,6 @@ void run_mc_slab(const float* a, ALayout alay, int64_t lda, int64_t ic,
   }
 }
 
-/// Runs every MC slab of one (KC, NC) block, splitting across the kernel
-/// pool when it is enabled, free, and the shape clears the row threshold.
-template <typename SlabFn>
-void for_each_mc_slab(int64_t m, const SlabFn& slab) {
-  const int64_t nslabs = (m + kMC - 1) / kMC;
-  if (m >= kKernelPoolMinRows) {
-    parallel_slabs(nslabs, [&](int64_t s) { slab(s * kMC); });
-    return;
-  }
-  for (int64_t s = 0; s < nslabs; ++s) slab(s * kMC);
-}
-
 /// Five-loop blocked driver; the public variants differ only in the layout
 /// tags handed to the packers.
 void gemm_driver(const float* a, ALayout alay, const float* b, BLayout blay,
@@ -227,9 +208,8 @@ void gemm_driver(const float* a, ALayout alay, const float* b, BLayout blay,
         ITASK_PROFILE_SCOPE(profile::Section::kGemmPack);
         pack_b(b, blay, ldb, pc, kc, jc, nc, bpack);
       }
-      for_each_mc_slab(m, [&](int64_t ic) {
+      for (int64_t ic = 0; ic < m; ic += kMC)
         run_mc_slab(a, alay, lda, ic, m, pc, kc, jc, npanels, bpack, c, n);
-      });
     }
   }
 }
@@ -290,10 +270,9 @@ void gemm_bt_prepacked(const float* a, const PackedB& b, float* c, int64_t m) {
     for (int64_t jc = 0; jc < n; jc += kNC) {
       const int64_t nc = std::min(kNC, n - jc);
       const int64_t npanels = (nc + kNR - 1) / kNR;
-      for_each_mc_slab(m, [&](int64_t ic) {
+      for (int64_t ic = 0; ic < m; ic += kMC)
         run_mc_slab(a, ALayout::kMK, k, ic, m, pc, kc, jc, npanels, block, c,
                     n);
-      });
       block += npanels * kNR * kc;
     }
   }
@@ -306,34 +285,6 @@ int64_t pack_workspace_bytes() {
 
 int64_t pack_workspace_cap_bytes() {
   return static_cast<int64_t>((kMC * kKC + kNC * kKC) * sizeof(float));
-}
-
-namespace {
-
-// Extra thread-local workspace releasers (the int8 kernel registers its
-// int16 workspaces). Guarded: registration runs during static init of
-// whichever binaries link quant, release runs on pool lanes.
-std::mutex releaser_mu;
-std::vector<void (*)()> releasers;
-
-}  // namespace
-
-void register_pack_workspace_releaser(void (*fn)()) {
-  std::lock_guard<std::mutex> lock(releaser_mu);
-  for (void (*r)() : releasers)
-    if (r == fn) return;
-  releasers.push_back(fn);
-}
-
-void pack_workspace_release() {
-  std::vector<float>().swap(tl_apack);
-  std::vector<float>().swap(tl_bpack);
-  std::vector<void (*)()> fns;
-  {
-    std::lock_guard<std::mutex> lock(releaser_mu);
-    fns = releasers;
-  }
-  for (void (*fn)() : fns) fn();
 }
 
 namespace reference {

@@ -67,9 +67,7 @@ PackedB pack_weights_bt(const float* b, int64_t k, int64_t n);
 
 /// C[M,N] += A[M,K] · Bᵀ with B pre-packed. Bit-identical to gemm_bt on the
 /// same operands: the panels, micro-kernel and loop order are the same —
-/// only where the packed B lives differs. When the kernel pool is enabled
-/// (tensor/kernel_pool.h) and m clears kKernelPoolMinRows, the MC-slab loop
-/// splits across threads; results stay bit-exact at any thread count.
+/// only where the packed B lives differs.
 void gemm_bt_prepacked(const float* a, const PackedB& b, float* c, int64_t m);
 
 /// Capacity (bytes) of the calling thread's packing workspaces. Bounded by
@@ -81,20 +79,6 @@ int64_t pack_workspace_bytes();
 
 /// The documented per-thread workspace bound: one A slab + one B slab.
 int64_t pack_workspace_cap_bytes();
-
-/// Frees the calling thread's packing workspaces, plus any additional
-/// thread-local kernel workspaces registered below. Workspaces regrow
-/// lazily on the next kernel call, so this is purely a release valve:
-/// KernelPool lanes call it as they retire (configure(0) would otherwise
-/// strand up to pack_workspace_cap_bytes() per joined worker until process
-/// exit), and tests call it to measure growth from a clean slate.
-void pack_workspace_release();
-
-/// Registers another thread-local workspace releaser for
-/// pack_workspace_release() to invoke on the calling thread
-/// (quant/int8_gemm.cpp registers its int16 packing workspaces this way).
-/// Idempotent per function pointer; thread-safe.
-void register_pack_workspace_releaser(void (*fn)());
 
 /// The pre-kernel-layer naive triple loops, retained verbatim as the parity
 /// baseline for tests and the old-vs-new comparison in bench_k0_gemm. Same

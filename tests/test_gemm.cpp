@@ -7,14 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "nn/linear.h"
 #include "quant/int8_gemm.h"
 #include "tensor/gemm.h"
-#include "tensor/kernel_pool.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 
@@ -215,133 +213,6 @@ TEST(GemmPrepack, PackWorkspaceStaysBoundedBySlabCap) {
   Tensor c({m, n});
   gemm::gemm_bt(a.data().data(), b.data().data(), c.data().data(), m, k, n);
   EXPECT_LE(gemm::pack_workspace_bytes(), gemm::pack_workspace_cap_bytes());
-}
-
-TEST(GemmPrepack, PackWorkspaceReleaseFreesAndRegrows) {
-  // The release valve for retiring threads: frees this thread's packing
-  // workspaces (including the int8 ones registered by quant/int8_gemm) and
-  // the next kernel call transparently regrows them with unchanged results.
-  Rng rng(6);
-  const int64_t m = 64, k = 96, n = 48;
-  const Tensor a = rng.randn({m, k});
-  const Tensor b = rng.randn({n, k});
-  Tensor c({m, n});
-  gemm::gemm_bt(a.data().data(), b.data().data(), c.data().data(), m, k, n);
-  ASSERT_GT(gemm::pack_workspace_bytes(), 0);
-  gemm::pack_workspace_release();
-  EXPECT_EQ(gemm::pack_workspace_bytes(), 0);
-  gemm::pack_workspace_release();  // idempotent
-  EXPECT_EQ(gemm::pack_workspace_bytes(), 0);
-  Tensor c2({m, n});
-  gemm::gemm_bt(a.data().data(), b.data().data(), c2.data().data(), m, k, n);
-  EXPECT_GT(gemm::pack_workspace_bytes(), 0);
-  for (int64_t i = 0; i < m * n; ++i) {
-    EXPECT_EQ(c2[i], c[i]) << "release changed kernel results at " << i;
-  }
-}
-
-// ---- kernel thread pool ---------------------------------------------------
-
-// Restores the single-core default even when a test fails mid-way.
-struct PoolGuard {
-  ~PoolGuard() { gemm::KernelPool::instance().configure(0); }
-};
-
-TEST(GemmKernelPool, ConfigureReleasesCallingThreadPackWorkspaces) {
-  // Reconfiguring the pool is the lifecycle moment workspaces strand: joined
-  // lanes free their own on exit, and configure() releases the calling
-  // thread's so a server teardown leaves no thread-local slabs behind.
-  PoolGuard guard;
-  Rng rng(7);
-  const int64_t m = 64, k = 96, n = 48;
-  const Tensor a = rng.randn({m, k});
-  const Tensor b = rng.randn({n, k});
-  Tensor c({m, n});
-  gemm::gemm_bt(a.data().data(), b.data().data(), c.data().data(), m, k, n);
-  ASSERT_GT(gemm::pack_workspace_bytes(), 0);
-  gemm::KernelPool::instance().configure(2);
-  EXPECT_EQ(gemm::pack_workspace_bytes(), 0);
-  gemm::gemm_bt(a.data().data(), b.data().data(), c.data().data(), m, k, n);
-  ASSERT_GT(gemm::pack_workspace_bytes(), 0);
-  gemm::KernelPool::instance().configure(0);
-  EXPECT_EQ(gemm::pack_workspace_bytes(), 0);
-}
-
-TEST(GemmKernelPool, Fp32DeterministicAcrossRunsAndThreadCounts) {
-  PoolGuard guard;
-  Rng rng(2024);
-  const int64_t m = 700, k = 96, n = 160;  // several MC slabs, clears the
-                                           // kKernelPoolMinRows threshold
-  const Tensor a = rng.randn({m, k});
-  const Tensor b = rng.randn({n, k});
-  const gemm::PackedB packed = gemm::pack_weights_bt(b.data().data(), k, n);
-  Tensor serial({m, n});
-  gemm::gemm_bt_prepacked(a.data().data(), packed, serial.data().data(), m);
-  for (int64_t threads : {2, 3, 4}) {
-    gemm::KernelPool::instance().configure(threads);
-    EXPECT_EQ(gemm::KernelPool::instance().threads(), threads);
-    for (int run = 0; run < 3; ++run) {
-      Tensor pooled({m, n});
-      gemm::gemm_bt_prepacked(a.data().data(), packed, pooled.data().data(),
-                              m);
-      EXPECT_TRUE(pooled.allclose(serial, 0.0f))
-          << "threads=" << threads << " run=" << run;
-    }
-  }
-  gemm::KernelPool::instance().configure(0);
-  EXPECT_EQ(gemm::KernelPool::instance().threads(), 0);
-}
-
-TEST(GemmKernelPool, Int8DeterministicAcrossRunsAndThreadCounts) {
-  PoolGuard guard;
-  Rng rng(4048);
-  const int64_t m = 640, k = 64, n = 144;
-  std::vector<int8_t> a(static_cast<size_t>(m * k));
-  std::vector<int8_t> w(static_cast<size_t>(n * k));
-  for (auto& v : a) v = static_cast<int8_t>(rng.randint(-128, 127));
-  for (auto& v : w) v = static_cast<int8_t>(rng.randint(-128, 127));
-  const std::vector<int32_t> sums = quant::weight_row_sums(w, n, k);
-  const quant::PackedWeightInt8 pw = quant::pack_weights_int8(w, n, k);
-  std::vector<int32_t> serial(static_cast<size_t>(m * n));
-  quant::int8_gemm_bt_prepacked(a, 7, pw, sums, serial, m);
-  for (int64_t threads : {2, 4}) {
-    gemm::KernelPool::instance().configure(threads);
-    for (int run = 0; run < 3; ++run) {
-      std::vector<int32_t> pooled(static_cast<size_t>(m * n), -1);
-      quant::int8_gemm_bt_prepacked(a, 7, pw, sums, pooled, m);
-      EXPECT_EQ(pooled, serial) << "threads=" << threads << " run=" << run;
-    }
-  }
-}
-
-// Two threads issuing pooled GEMMs concurrently: one owns the pool, the
-// other falls back to its serial loop — results identical either way. This
-// is the TSan target for pool handoff + busy fallback.
-TEST(GemmKernelPool, ConcurrentCallersBitExactViaBusyFallback) {
-  PoolGuard guard;
-  Rng rng(99);
-  const int64_t m = 512, k = 80, n = 128;
-  const Tensor a = rng.randn({m, k});
-  const Tensor b = rng.randn({n, k});
-  const gemm::PackedB packed = gemm::pack_weights_bt(b.data().data(), k, n);
-  Tensor serial({m, n});
-  gemm::gemm_bt_prepacked(a.data().data(), packed, serial.data().data(), m);
-  gemm::KernelPool::instance().configure(3);
-  constexpr int kIters = 8;
-  std::vector<int> mismatches(2, 0);
-  std::vector<std::thread> callers;
-  for (int t = 0; t < 2; ++t) {
-    callers.emplace_back([&, t] {
-      for (int it = 0; it < kIters; ++it) {
-        Tensor c({m, n});
-        gemm::gemm_bt_prepacked(a.data().data(), packed, c.data().data(), m);
-        if (!c.allclose(serial, 0.0f)) ++mismatches[static_cast<size_t>(t)];
-      }
-    });
-  }
-  for (auto& th : callers) th.join();
-  EXPECT_EQ(mismatches[0], 0);
-  EXPECT_EQ(mismatches[1], 0);
 }
 
 TEST(GemmKernel, EmptyBatchAndZeroDims) {

@@ -271,6 +271,29 @@ TEST(QuantizedVit, MissingStateKeyThrows) {
   EXPECT_THROW(QuantizedVit(small_config(), state), std::invalid_argument);
 }
 
+TEST(QuantizedVit, RejectsStateOfAnotherImageSize) {
+  // An 8px model's state has a 5-row positional embedding; a 12px config
+  // needs 10. Construction must throw, not read pos out of bounds later.
+  Rng rng(14);
+  vit::VitModel model(small_config(), rng);
+  vit::ViTConfig bigger = small_config();
+  bigger.image_size = 12;
+  EXPECT_THROW(QuantizedVit(bigger, model.state_dict()),
+               std::invalid_argument);
+}
+
+TEST(QuantizedVit, ForwardRejectsImagesOfAnotherShape) {
+  // The 8px config has 4 patches; a 12px batch has 9. The INT8 path must
+  // throw rather than read the wrong patch rows.
+  Rng rng(15);
+  vit::VitModel model(small_config(), rng);
+  QuantizedVit qvit = QuantizedVit::from_model(model);
+  qvit.calibrate(rng.rand({2, 3, 8, 8}));
+  qvit.finalize();
+  EXPECT_THROW(qvit.forward(rng.rand({2, 3, 12, 12})), std::invalid_argument);
+  EXPECT_THROW(qvit.forward(rng.rand({2, 1, 8, 8})), std::invalid_argument);
+}
+
 class CalibMethodSweep : public ::testing::TestWithParam<CalibMethod> {};
 
 TEST_P(CalibMethodSweep, AllMethodsProduceWorkingRuntime) {

@@ -32,7 +32,6 @@
 #include "runtime/trace.h"
 #include "tensor/arena.h"
 #include "tensor/gemm.h"
-#include "tensor/kernel_pool.h"
 #include "tensor/profile.h"
 
 // ------------------------- instrumented global allocator --------------------
@@ -622,24 +621,6 @@ std::shared_ptr<const core::DeploymentSnapshot>* RuntimeServing::snap_ =
     nullptr;
 data::Dataset* RuntimeServing::eval_ = nullptr;
 
-TEST_F(RuntimeServing, InferBatchMatchesDetectBatchExactly) {
-  // The const thread-safe entry point must agree with the mutable serial
-  // path element-wise, for both deployable configurations.
-  Tensor images({eval_->size(), 3, 24, 24});
-  for (int64_t i = 0; i < eval_->size(); ++i) {
-    images.set_index(i, eval_->scene(i).image);
-  }
-  for (const ConfigKind config :
-       {ConfigKind::kTaskSpecific, ConfigKind::kQuantizedMultiTask}) {
-    const auto serial = fw_->detect_batch(images, *task_, config);
-    const auto concurrent_safe = fw_->infer_batch(images, *task_, config);
-    ASSERT_EQ(serial.size(), concurrent_safe.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      expect_same_detections(concurrent_safe[i], serial[i]);
-    }
-  }
-}
-
 TEST_F(RuntimeServing, PublishStampsMonotonicVersionsAndSharesModels) {
   const auto a = fw_->publish();
   const auto b = fw_->publish();
@@ -719,42 +700,6 @@ TEST_F(RuntimeServing, PublishPrepacksServingKernelsWithoutChangingResults) {
   }
 }
 
-TEST_F(RuntimeServing, KernelPoolServingBitExactVsSerial) {
-  // Opt-in multi-core kernels (RuntimeOptions::kernel_threads): big micro-
-  // batches split MC slabs across the pool, and every request must still be
-  // element-wise identical to the single-core serial path — the pool's
-  // determinism contract. This test is part of the TSan suite.
-  struct PoolGuard {
-    ~PoolGuard() { gemm::KernelPool::instance().configure(0); }
-  } guard;
-  for (const ConfigKind config :
-       {ConfigKind::kTaskSpecific, ConfigKind::kQuantizedMultiTask}) {
-    std::vector<std::future<InferenceResult>> futures;
-    {
-      RuntimeOptions opts;
-      opts.workers = 2;
-      opts.max_batch = 32;  // 32·(T+1) rows ≥ gemm::kKernelPoolMinRows
-      opts.max_wait_us = 2000;
-      opts.queue_capacity = 128;
-      opts.kernel_threads = 3;
-      InferenceServer server(*snap_, opts);
-      EXPECT_EQ(gemm::KernelPool::instance().threads(), 3);
-      for (int64_t i = 0; i < 2 * eval_->size(); ++i) {
-        auto f = server.try_submit(eval_->scene(i % eval_->size()).image,
-                                   *task_, config);
-        ASSERT_TRUE(f.admitted());
-        futures.push_back(std::move(*f.future));
-      }
-    }
-    for (int64_t i = 0; i < 2 * eval_->size(); ++i) {
-      InferenceResult r = futures[static_cast<size_t>(i)].get();
-      const auto serial = fw_->detect(
-          eval_->scene(i % eval_->size()).image, *task_, config);
-      expect_same_detections(r.detections, serial);
-    }
-  }
-}
-
 TEST_F(RuntimeServing, SnapshotValidatesConstructionAndUnservableRequests) {
   EXPECT_THROW(core::DeploymentSnapshot(0, Shape{3, 24, 24}, kg::TaskTable{},
                                         {}, nullptr, core::DetectionPipeline{}),
@@ -769,6 +714,19 @@ TEST_F(RuntimeServing, SnapshotValidatesConstructionAndUnservableRequests) {
   EXPECT_THROW((*snap_)->infer_batch(images, kg::TaskId{9999},
                                      ConfigKind::kQuantizedMultiTask),
                std::invalid_argument);
+}
+
+TEST_F(RuntimeServing, SnapshotRejectsImagesOfAnotherSizeOnBothConfigs) {
+  // The deployment is 24px (9 patches); a 32px batch has 16. Both
+  // configurations must throw instead of returning a silently wrong
+  // [2, 9, 1] objectness.
+  const Tensor images({2, 3, 32, 32});
+  for (const ConfigKind config :
+       {ConfigKind::kTaskSpecific, ConfigKind::kQuantizedMultiTask}) {
+    EXPECT_THROW((*snap_)->infer_raw(images, task_->id, config),
+                 std::invalid_argument)
+        << core::config_kind_name(config);
+  }
 }
 
 TEST_F(RuntimeServing, ResultsDeterministicVsSerialPath) {
@@ -1208,13 +1166,13 @@ TEST_F(RuntimeServing, ProfilingHooksAreTransparent) {
   }
   profile::reset();
   ASSERT_FALSE(profile::enabled());
-  const auto off =
-      fw_->infer_batch(images, *task_, ConfigKind::kQuantizedMultiTask);
+  const auto off = (*snap_)->infer_batch(images, task_->id,
+                                         ConfigKind::kQuantizedMultiTask);
   EXPECT_TRUE(profile::snapshot().empty());
 
   profile::set_enabled(true);
-  const auto on =
-      fw_->infer_batch(images, *task_, ConfigKind::kQuantizedMultiTask);
+  const auto on = (*snap_)->infer_batch(images, task_->id,
+                                        ConfigKind::kQuantizedMultiTask);
   profile::set_enabled(false);
   const auto sections = profile::snapshot();
   ASSERT_FALSE(sections.empty());
@@ -1545,37 +1503,33 @@ TEST_F(RuntimeServing, ArenaZeroSteadyStateAllocationsBothConfigs) {
 
 TEST_F(RuntimeServing, ArenaResultsElementWiseIdenticalToHeapPathAndSerial) {
   // The arena only moves where intermediates live, never the arithmetic:
-  // with use_arena on or off, every request's detections are element-wise
-  // identical to the serial path (and therefore to each other). Mixed
+  // every request's arena-served detections are element-wise identical to
+  // the serial path, whose intermediates all live on the heap. Mixed
   // configs in one stream exercise multiple groups — and arena resets —
   // per micro-batch.
   const auto config_of = [](int64_t i) {
     return (i % 2 == 0) ? ConfigKind::kTaskSpecific
                         : ConfigKind::kQuantizedMultiTask;
   };
-  for (const bool use_arena : {true, false}) {
-    std::vector<std::future<InferenceResult>> futures;
-    {
-      RuntimeOptions opts;
-      opts.workers = 2;
-      opts.max_batch = 4;
-      opts.max_wait_us = 500;
-      opts.queue_capacity = 64;
-      opts.use_arena = use_arena;
-      InferenceServer server(*snap_, opts);
-      for (int64_t i = 0; i < eval_->size(); ++i) {
-        auto f = server.try_submit(eval_->scene(i).image, *task_,
-                                   config_of(i));
-        ASSERT_TRUE(f.admitted());
-        futures.push_back(std::move(*f.future));
-      }
-    }  // destructor drains: all futures fulfilled
+  std::vector<std::future<InferenceResult>> futures;
+  {
+    RuntimeOptions opts;
+    opts.workers = 2;
+    opts.max_batch = 4;
+    opts.max_wait_us = 500;
+    opts.queue_capacity = 64;
+    InferenceServer server(*snap_, opts);
     for (int64_t i = 0; i < eval_->size(); ++i) {
-      InferenceResult r = futures[static_cast<size_t>(i)].get();
-      const auto serial = fw_->detect(eval_->scene(i).image, *task_,
-                                      config_of(i));
-      expect_same_detections(r.detections, serial);
+      auto f = server.try_submit(eval_->scene(i).image, *task_, config_of(i));
+      ASSERT_TRUE(f.admitted());
+      futures.push_back(std::move(*f.future));
     }
+  }  // destructor drains: all futures fulfilled
+  for (int64_t i = 0; i < eval_->size(); ++i) {
+    InferenceResult r = futures[static_cast<size_t>(i)].get();
+    const auto serial =
+        fw_->detect(eval_->scene(i).image, *task_, config_of(i));
+    expect_same_detections(r.detections, serial);
   }
 }
 
@@ -2295,14 +2249,14 @@ TEST_F(RuntimeServing, FleetMergedScrapeAggregatesShardAndFleetRegistries) {
     }
     return {};
   };
-  EXPECT_EQ(histogram("total_us").count, 8);  // across both shards
+  EXPECT_EQ(histogram("stage_total_us").count, 8);  // across both shards
 
   // The merged snapshot renders through the existing exposition unchanged —
   // one Prometheus scrape for the whole fleet.
   const std::string text = to_prometheus(ExpositionData{merged, {}});
   EXPECT_NE(text.find("itask_requests_completed 8"), std::string::npos);
   EXPECT_NE(text.find("itask_fleet_admitted 8"), std::string::npos);
-  EXPECT_NE(text.find("itask_total_us_count 8"), std::string::npos);
+  EXPECT_NE(text.find("itask_stage_total_us_count 8"), std::string::npos);
 }
 
 TEST_F(RuntimeServing, FleetValidatesOptionsAndShardAccess) {
