@@ -8,9 +8,11 @@
 namespace itask::runtime {
 
 FleetRouter::FleetRouter(int64_t shards, int64_t replication)
-    : shards_(shards), replication_(std::clamp<int64_t>(replication, 1, shards)) {
+    : shards_(shards) {
+  // Validate before clamping: [1, shards] is only a range for shards >= 1.
   ITASK_CHECK(shards >= 1, "FleetRouter: shards must be >= 1");
   ITASK_CHECK(replication >= 1, "FleetRouter: replication must be >= 1");
+  replication_ = std::min(replication, shards);
 }
 
 std::vector<int64_t> FleetRouter::replicas(kg::TaskId task) const {
@@ -82,20 +84,23 @@ std::vector<int64_t> InferenceFleet::shard_versions() const {
   return versions;
 }
 
-FleetSubmitResult InferenceFleet::try_submit(
-    Tensor image, kg::TaskId task, core::ConfigKind config, int64_t tenant,
-    std::optional<int64_t> deadline_us) {
+template <class R, class ShardSubmit>
+BasicSubmitResult<R> InferenceFleet::place(kg::TaskId task,
+                                           core::ConfigKind config,
+                                           int64_t tenant, const char* entry,
+                                           ShardSubmit&& submit) {
   std::lock_guard<std::mutex> lock(mu_);
-  FleetSubmitResult result;
   submitted_.increment();
   if (stopped_) {
     shutdown_rejected_.increment();
-    result.reject = RejectReason::kShuttingDown;
-    return result;
+    return {std::nullopt, RejectReason::kShuttingDown};
   }
   // Fairness window: every attempt advances it (so a saturated tenant's
   // rejected attempts still roll the window toward its next grant), and the
-  // per-tenant fairness counters reset when it wraps.
+  // per-tenant fairness counters reset when it wraps. A group is ONE
+  // logical request: it advances the window and consumes quota once,
+  // regardless of K — a tenant cannot stretch its bounded share by
+  // inflating view counts into admission concurrency.
   if (options_.tenant_quota > 0) {
     if (++window_attempts_ > options_.quota_window) {
       window_attempts_ = 1;
@@ -104,95 +109,14 @@ FleetSubmitResult InferenceFleet::try_submit(
     }
     if (window_admissions_[tenant] >= options_.tenant_quota) {
       quota_rejected_.increment();
-      result.reject = RejectReason::kTenantQuota;
-      return result;
+      return {std::nullopt, RejectReason::kTenantQuota};
     }
   }
   // Replica rotation with failover: start at the slot this task's
   // submission sequence selects, then walk the rest of the replica set past
-  // full (or, mid-rollout, not-yet-servable) shards.
-  const std::vector<int64_t> replicas = router_.replicas(task);
-  const int64_t seq = route_seq_[task]++;
-  const int64_t r = static_cast<int64_t>(replicas.size());
-  bool any_servable = false;
-  for (int64_t k = 0; k < r; ++k) {
-    const int64_t shard_index =
-        replicas[static_cast<size_t>((seq + k) % r)];
-    InferenceServer& server = *shards_[static_cast<size_t>(shard_index)];
-    if (!server.current_snapshot()->servable(task, config)) {
-      // Version skew between shards: this replica has not seen the snapshot
-      // that defines the task yet. Skip it — another replica may have.
-      failovers_.increment();
-      continue;
-    }
-    any_servable = true;
-    // A rejected try_submit consumes the Tensor it was handed, so only the
-    // last candidate replica may take `image` by move — earlier attempts
-    // get a copy to keep failover possible. (Single-replica fleets, the
-    // default, never copy.)
-    const bool last_candidate = k + 1 == r;
-    SubmitResult attempt = server.try_submit(
-        last_candidate ? std::move(image) : Tensor(image), task, config,
-        deadline_us);
-    if (attempt.admitted()) {
-      if (options_.tenant_quota > 0) ++window_admissions_[tenant];
-      admitted_.increment();
-      result.future = std::move(attempt.future);
-      result.shard = shard_index;
-      return result;
-    }
-    failovers_.increment();
-    if (attempt.reject == RejectReason::kShuttingDown) {
-      shutdown_rejected_.increment();
-      result.reject = RejectReason::kShuttingDown;
-      return result;
-    }
-  }
-  if (!any_servable) {
-    invalid_.increment();
-    ITASK_CHECK(false,
-                std::string("InferenceFleet::try_submit: configuration ") +
-                    core::config_kind_name(config) + " cannot serve " +
-                    kg::task_id_to_string(task) +
-                    " on any of its replica shards (publish and roll out a "
-                    "snapshot containing it first)");
-  }
-  queue_full_rejected_.increment();
-  result.reject = RejectReason::kQueueFull;
-  return result;
-}
-
-FleetGroupSubmitResult InferenceFleet::try_submit_group(
-    std::vector<Tensor> views, kg::TaskId task, core::ConfigKind config,
-    int64_t tenant, std::optional<int64_t> deadline_us) {
-  ITASK_CHECK(!views.empty(),
-              "InferenceFleet::try_submit_group: need at least one view");
-  std::lock_guard<std::mutex> lock(mu_);
-  FleetGroupSubmitResult result;
-  submitted_.increment();
-  if (stopped_) {
-    shutdown_rejected_.increment();
-    result.reject = RejectReason::kShuttingDown;
-    return result;
-  }
-  // A group is ONE logical request: it advances the fairness window and
-  // consumes quota once, regardless of K — a tenant cannot stretch its
-  // bounded share by inflating view counts into admission concurrency.
-  if (options_.tenant_quota > 0) {
-    if (++window_attempts_ > options_.quota_window) {
-      window_attempts_ = 1;
-      window_admissions_.clear();
-      window_resets_.increment();
-    }
-    if (window_admissions_[tenant] >= options_.tenant_quota) {
-      quota_rejected_.increment();
-      result.reject = RejectReason::kTenantQuota;
-      return result;
-    }
-  }
-  // Same rotation + failover walk as try_submit, but the whole group moves
-  // as a unit: the views share one scene, so splitting them across shards
-  // would buy nothing and cost a cross-registry gather.
+  // full (or, mid-rollout, not-yet-servable) shards. A group moves as a
+  // unit: its views share one scene, so splitting them across shards would
+  // buy nothing and cost a cross-registry gather.
   const std::vector<int64_t> replicas = router_.replicas(task);
   const int64_t seq = route_seq_[task]++;
   const int64_t r = static_cast<int64_t>(replicas.size());
@@ -201,43 +125,66 @@ FleetGroupSubmitResult InferenceFleet::try_submit_group(
     const int64_t shard_index = replicas[static_cast<size_t>((seq + k) % r)];
     InferenceServer& server = *shards_[static_cast<size_t>(shard_index)];
     if (!server.current_snapshot()->servable(task, config)) {
+      // Version skew between shards: this replica has not seen the snapshot
+      // that defines the task yet. Skip it — another replica may have.
       failovers_.increment();
       continue;
     }
     any_servable = true;
-    // As in try_submit: a rejected attempt consumes its argument, so only
-    // the last candidate replica may take the views by move.
-    const bool last_candidate = k + 1 == r;
-    GroupSubmitResult attempt = server.try_submit_group(
-        last_candidate ? std::move(views) : std::vector<Tensor>(views), task,
-        config, deadline_us);
+    // A rejected shard submit consumes the payload it was handed, so only
+    // the last candidate replica may take it by move — earlier attempts get
+    // a copy to keep failover possible. (Single-replica fleets, the default,
+    // never copy.)
+    BasicSubmitResult<R> attempt = submit(server, k + 1 == r);
     if (attempt.admitted()) {
       if (options_.tenant_quota > 0) ++window_admissions_[tenant];
       admitted_.increment();
-      result.future = std::move(attempt.future);
-      result.shard = shard_index;
-      return result;
+      attempt.shard = shard_index;
+      return attempt;
     }
     failovers_.increment();
     if (attempt.reject == RejectReason::kShuttingDown) {
       shutdown_rejected_.increment();
-      result.reject = RejectReason::kShuttingDown;
-      return result;
+      return {std::nullopt, RejectReason::kShuttingDown};
     }
   }
   if (!any_servable) {
     invalid_.increment();
-    ITASK_CHECK(
-        false,
-        std::string("InferenceFleet::try_submit_group: configuration ") +
-            core::config_kind_name(config) + " cannot serve " +
-            kg::task_id_to_string(task) +
-            " on any of its replica shards (publish and roll out a "
-            "snapshot containing it first)");
+    ITASK_CHECK(false, std::string("InferenceFleet::") + entry +
+                           ": configuration " +
+                           core::config_kind_name(config) + " cannot serve " +
+                           kg::task_id_to_string(task) +
+                           " on any of its replica shards (publish and roll "
+                           "out a snapshot containing it first)");
   }
   queue_full_rejected_.increment();
-  result.reject = RejectReason::kQueueFull;
-  return result;
+  return {std::nullopt, RejectReason::kQueueFull};
+}
+
+SubmitResult InferenceFleet::try_submit(Tensor image, TaskRef task,
+                                        core::ConfigKind config, int64_t tenant,
+                                        std::optional<int64_t> deadline_us) {
+  return place<InferenceResult>(
+      task.id, config, tenant, "try_submit",
+      [&](InferenceServer& server, bool last_candidate) {
+        return server.try_submit(
+            last_candidate ? std::move(image) : Tensor(image), task, config,
+            deadline_us);
+      });
+}
+
+GroupSubmitResult InferenceFleet::try_submit_group(
+    std::vector<Tensor> views, TaskRef task, core::ConfigKind config,
+    int64_t tenant, std::optional<int64_t> deadline_us) {
+  ITASK_CHECK(!views.empty(),
+              "InferenceFleet::try_submit_group: need at least one view");
+  return place<GroupInferenceResult>(
+      task.id, config, tenant, "try_submit_group",
+      [&](InferenceServer& server, bool last_candidate) {
+        return server.try_submit_group(
+            last_candidate ? std::move(views) : std::vector<Tensor>(views),
+            task, config, deadline_us);
+      });
 }
 
 RolloutResult InferenceFleet::install_snapshot(

@@ -18,6 +18,10 @@
 // sees a stable task subset (warm per-task affinity) instead of random
 // spray.
 //
+// Placement has one body, parameterised only by the shard call: a single
+// request and a K-view group pass the same quota, rotation and failover, and
+// return the server's result types with `shard` set to the admitting shard.
+//
 // Admission fairness: per-tenant quotas over a rolling attempt window. Each
 // tenant may be admitted at most `tenant_quota` times per `quota_window`
 // try_submit attempts fleet-wide; the per-tenant fairness counters reset
@@ -105,32 +109,6 @@ struct FleetOptions {
   std::function<void(int64_t shard, int64_t version)> rollout_hook;
 };
 
-/// try_submit outcome: the admitted request's future plus which shard took
-/// it, or the explicit reject reason. The fleet shares the server's
-/// RejectReason vocabulary (one enum, one reject_reason_name): kTenantQuota
-/// is the fleet-level reason a single server cannot produce, and kQueueFull
-/// here means every replica of the task was full (failover exhausted).
-struct FleetSubmitResult {
-  std::optional<std::future<InferenceResult>> future;
-  RejectReason reject = RejectReason::kNone;
-  int64_t shard = -1;  // the shard that admitted (−1 on reject)
-
-  bool admitted() const { return future.has_value(); }
-  explicit operator bool() const { return admitted(); }
-};
-
-/// try_submit_group outcome, mirroring FleetSubmitResult: the whole group
-/// lands on ONE shard (so its views share that shard's batcher and the
-/// gather never crosses registries), or is rejected as a unit.
-struct FleetGroupSubmitResult {
-  std::optional<std::future<GroupInferenceResult>> future;
-  RejectReason reject = RejectReason::kNone;
-  int64_t shard = -1;  // the shard that admitted (−1 on reject)
-
-  bool admitted() const { return future.has_value(); }
-  explicit operator bool() const { return admitted(); }
-};
-
 /// Outcome of one staged install_snapshot pass over the shards.
 struct RolloutResult {
   int64_t version = 0;          // snapshot version being rolled out
@@ -159,40 +137,22 @@ class InferenceFleet {
   /// past full replicas. Throws std::invalid_argument (like the underlying
   /// server) when NO replica's current snapshot can serve (task, config) —
   /// mid-rollout, a task only the new version knows is admitted as soon as
-  /// one of its replicas has been updated.
-  FleetSubmitResult try_submit(Tensor image, kg::TaskId task,
-                               core::ConfigKind config, int64_t tenant = 0,
-                               std::optional<int64_t> deadline_us =
-                                   std::nullopt);
+  /// one of its replicas has been updated. A malformed image's throw from
+  /// the shard propagates without failover; kQueueFull means every replica
+  /// was full.
+  SubmitResult try_submit(Tensor image, TaskRef task, core::ConfigKind config,
+                          int64_t tenant = 0,
+                          std::optional<int64_t> deadline_us = std::nullopt);
 
-  /// Convenience overload mirroring InferenceServer::try_submit: submits
-  /// against the handle's stable task id.
-  FleetSubmitResult try_submit(Tensor image, const core::TaskHandle& task,
-                               core::ConfigKind config, int64_t tenant = 0,
-                               std::optional<int64_t> deadline_us =
-                                   std::nullopt) {
-    return try_submit(std::move(image), task.id, config, tenant, deadline_us);
-  }
-
-  /// Scatter/gather twin of InferenceServer::try_submit_group. Same
-  /// admission order as try_submit (shutdown, tenant quota — one logical
-  /// request counts as ONE quota admission however many views it carries —
-  /// then replica rotation with failover past full shards); the whole group
-  /// is placed on one shard, all-or-nothing, and the returned future
-  /// resolves with that shard's fused result. Throws std::invalid_argument
-  /// when no replica can serve (task, config), exactly like try_submit.
-  FleetGroupSubmitResult try_submit_group(
-      std::vector<Tensor> views, kg::TaskId task, core::ConfigKind config,
+  /// Scatter/gather twin of InferenceServer::try_submit_group, placed like
+  /// try_submit (one logical request counts as ONE quota admission however
+  /// many views it carries). The whole group lands on one shard (its views
+  /// share that shard's batcher; the gather never crosses registries),
+  /// all-or-nothing, and the future resolves with that shard's fused
+  /// result. Throws std::invalid_argument exactly like try_submit.
+  GroupSubmitResult try_submit_group(
+      std::vector<Tensor> views, TaskRef task, core::ConfigKind config,
       int64_t tenant = 0, std::optional<int64_t> deadline_us = std::nullopt);
-
-  /// Convenience overload: submits against the handle's stable task id.
-  FleetGroupSubmitResult try_submit_group(
-      std::vector<Tensor> views, const core::TaskHandle& task,
-      core::ConfigKind config, int64_t tenant = 0,
-      std::optional<int64_t> deadline_us = std::nullopt) {
-    return try_submit_group(std::move(views), task.id, config, tenant,
-                            deadline_us);
-  }
 
   /// Staged rollout (see the file comment): asserts the version-skew
   /// tolerance contract, then installs shard-by-shard in index order,
@@ -234,6 +194,13 @@ class InferenceFleet {
   const FleetOptions& options() const { return options_; }
 
  private:
+  /// The one placement body behind try_submit and try_submit_group;
+  /// `submit(server, last_candidate)` is the shard call.
+  template <class R, class ShardSubmit>
+  BasicSubmitResult<R> place(kg::TaskId task, core::ConfigKind config,
+                             int64_t tenant, const char* entry,
+                             ShardSubmit&& submit);
+
   FleetOptions options_;
   FleetRouter router_;
   MetricsRegistry metrics_;

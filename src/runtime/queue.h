@@ -1,9 +1,10 @@
 // Bounded MPMC queue with admission control and micro-batch draining — the
 // spine of the inference runtime.
 //
-// Producers call try_push(), which REJECTS (returns false) when the queue is
-// full instead of blocking: admission control pushes backpressure to the
-// client rather than letting latency grow without bound. Consumers call
+// Producers call push_all(), which REJECTS (kFull) when the items do not fit
+// instead of blocking: admission control pushes backpressure to the client
+// rather than letting latency grow without bound. A single request pushes a
+// span of one; a K-view group pushes K items all-or-nothing. Consumers call
 // pop_batch(), which blocks for the first item, then keeps gathering until
 // either `max_items` are in hand or `max_wait` has elapsed since the batch
 // opened — the dynamic micro-batching rule (close at size OR deadline,
@@ -22,6 +23,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -38,31 +40,14 @@ class BoundedQueue {
   explicit BoundedQueue(int64_t capacity)
       : capacity_(capacity), slots_(checked_capacity(capacity)) {}
 
-  /// Admission control: enqueues unless the queue is full or closed, and
-  /// says which of the two refused the item.
-  PushResult push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return PushResult::kClosed;
-      if (size_ >= capacity_) return PushResult::kFull;
-      slots_[static_cast<size_t>((head_ + size_) % capacity_)] =
-          std::move(item);
-      ++size_;
-    }
-    ready_.notify_one();
-    return PushResult::kOk;
-  }
-
-  /// push() for callers that only need admitted-or-not.
-  bool try_push(T item) { return push(std::move(item)) == PushResult::kOk; }
-
-  /// All-or-nothing multi-push for scatter/gather group requests: either
-  /// every item is admitted under one lock acquisition (so views of one
-  /// group are contiguous and no interleaved producer can split them past
-  /// capacity), or none is and `items` is left untouched. A partial group in
-  /// flight with its siblings rejected would burn worker time on views whose
-  /// gather can never complete — this rules that state out by construction.
-  PushResult push_all(std::vector<T>& items) {
+  /// The one producer entry, all-or-nothing: either every item is admitted
+  /// under one lock acquisition (so views of one group are contiguous and no
+  /// interleaved producer can split them past capacity), or none is, `items`
+  /// is left untouched and the result says whether full or closed refused
+  /// them. A partial group in flight with its siblings rejected would burn
+  /// worker time on views whose gather can never complete — this rules that
+  /// state out by construction.
+  PushResult push_all(std::span<T> items) {
     ITASK_CHECK(!items.empty(), "BoundedQueue: push_all needs >= 1 item");
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -75,7 +60,12 @@ class BoundedQueue {
         ++size_;
       }
     }
-    ready_.notify_all();
+    // One item needs one consumer; a group may feed several.
+    if (items.size() == 1) {
+      ready_.notify_one();
+    } else {
+      ready_.notify_all();
+    }
     return PushResult::kOk;
   }
 
@@ -134,17 +124,10 @@ class BoundedQueue {
     ready_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
   int64_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return size_;
   }
-
-  int64_t capacity() const { return capacity_; }
 
  private:
   static size_t checked_capacity(int64_t capacity) {

@@ -1,6 +1,8 @@
 #include "runtime/server.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -26,10 +28,6 @@ InferenceServer::InferenceServer(
       clock_(options_.clock_us ? options_.clock_us : ClockFn(steady_clock_us)),
       queue_(options.queue_capacity),
       stages_(metrics_),
-      // Hot-path counters resolved once here instead of a map lookup under
-      // the registry lock per request (metric names unchanged — exposition
-      // output is identical, and every admission counter now exists from
-      // the first scrape).
       requests_submitted_(metrics_.counter("requests_submitted")),
       requests_invalid_(metrics_.counter("requests_invalid")),
       rejected_queue_full_(metrics_.counter("rejected_queue_full")),
@@ -52,8 +50,7 @@ InferenceServer::InferenceServer(
   ITASK_CHECK(options_.deadline_us >= 0,
               "InferenceServer: deadline_us must be >= 0");
   // The initial snapshot counts as one publish; its tasks were never
-  // *onboarded* live. (The init list above already created every admission
-  // counter, so a scrape before the first install/request sees them all.)
+  // *onboarded* live.
   snapshots_published_.increment();
   // Size the per-worker arenas before any worker exists: the snapshot
   // measures its own peak workspace (stacked batch + every inference
@@ -110,158 +107,129 @@ InferenceServer::current_snapshot() const {
   return snapshot_;
 }
 
-SubmitResult InferenceServer::try_submit(Tensor image, kg::TaskId task,
-                                         core::ConfigKind config,
-                                         std::optional<int64_t> deadline_us) {
-  // Admission-time validation against the *current* snapshot: malformed
-  // requests fail fast at the edge with a clear message, so a worker never
-  // sees an image it cannot stack or a task no snapshot it acquires could
-  // serve (task tables only grow across versions).
-  const std::shared_ptr<const core::DeploymentSnapshot> snapshot =
-      current_snapshot();
-  const Shape& expected = snapshot->expected_input_shape();
-  if (image.shape() != expected) {
-    requests_invalid_.increment();
-    ITASK_CHECK(false, "try_submit: image shape " +
-                           shape_to_string(image.shape()) +
-                           " does not match the deployment's expected "
-                           "[C, H, W] shape " +
-                           shape_to_string(expected));
-  }
-  if (!snapshot->servable(task, config)) {
-    requests_invalid_.increment();
-    ITASK_CHECK(false,
-                std::string("try_submit: configuration ") +
-                    core::config_kind_name(config) + " cannot serve " +
-                    kg::task_id_to_string(task) + " from snapshot v" +
-                    fmt::i64(snapshot->version()) +
-                    " (publish and install a snapshot containing it first)");
-  }
-  const int64_t effective_deadline_us =
-      deadline_us.value_or(options_.deadline_us);
-  ITASK_CHECK(effective_deadline_us >= 0,
-              "try_submit: deadline_us must be >= 0");
-
-  Pending pending;
-  pending.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  pending.image = std::move(image);
-  pending.task = task;
-  pending.config = config;
-  pending.admitted_us = clock_();
-  pending.admitted_version = snapshot->version();
-  if (effective_deadline_us > 0) {
-    pending.deadline_us = pending.admitted_us + effective_deadline_us;
-  }
-  SubmitResult result;
-  result.future = pending.promise.get_future();
-  switch (queue_.push(std::move(pending))) {
-    case PushResult::kFull:
-      rejected_queue_full_.increment();
-      result.future.reset();
-      result.reject = RejectReason::kQueueFull;
-      return result;
-    case PushResult::kClosed:
-      rejected_shutdown_.increment();
-      result.future.reset();
-      result.reject = RejectReason::kShuttingDown;
-      return result;
-    case PushResult::kOk:
-      break;
-  }
-  requests_submitted_.increment();
-  return result;
-}
-
-GroupSubmitResult InferenceServer::try_submit_group(
-    std::vector<Tensor> views, kg::TaskId task, core::ConfigKind config,
-    std::optional<int64_t> deadline_us) {
-  const int64_t k = static_cast<int64_t>(views.size());
-  ITASK_CHECK(k >= 1, "try_submit_group: need at least one view");
+template <class R>
+BasicSubmitResult<R> InferenceServer::admit(
+    std::span<Pending> members, std::promise<R>& promise,
+    const std::shared_ptr<GroupGather>& gather, kg::TaskId task,
+    core::ConfigKind config, std::optional<int64_t> deadline_us) {
+  const char* entry = gather ? "try_submit_group" : "try_submit";
+  const int64_t k = static_cast<int64_t>(members.size());
+  ITASK_CHECK(k >= 1, std::string(entry) + ": need at least one view");
   // A group larger than the queue could never be admitted whole; that is a
   // configuration error, not transient backpressure.
   ITASK_CHECK(k <= options_.queue_capacity,
-              "try_submit_group: " + fmt::i64(k) +
+              std::string(entry) + ": " + fmt::i64(k) +
                   " views can never fit the admission queue (capacity " +
                   fmt::i64(options_.queue_capacity) + ")");
-  // Per-view admission validation, against ONE snapshot acquisition — the
-  // same contract as try_submit, checked before anything is queued so a
-  // malformed view rejects the whole logical request at the edge.
+  // Admission-time validation against ONE acquisition of the *current*
+  // snapshot, before anything is queued: malformed requests fail fast at
+  // the edge with a clear message (a malformed view rejects the whole
+  // logical request), so a worker never sees an image it cannot stack or
+  // score, or a task no snapshot it acquires could serve (task tables only
+  // grow across versions).
   const std::shared_ptr<const core::DeploymentSnapshot> snapshot =
       current_snapshot();
   const Shape& expected = snapshot->expected_input_shape();
+  const auto subject = [&](int64_t v) {
+    return std::string(entry) +
+           (gather ? ": view " + fmt::i64(v) : std::string(": image"));
+  };
   for (int64_t v = 0; v < k; ++v) {
-    if (views[static_cast<size_t>(v)].shape() != expected) {
+    const Tensor& image = members[static_cast<size_t>(v)].image;
+    if (image.shape() != expected) {
       requests_invalid_.increment();
-      ITASK_CHECK(
-          false,
-          "try_submit_group: view " + fmt::i64(v) + " shape " +
-              shape_to_string(views[static_cast<size_t>(v)].shape()) +
-              " does not match the deployment's expected [C, H, W] shape " +
-              shape_to_string(expected));
+      ITASK_CHECK(false, subject(v) + " shape " +
+                             shape_to_string(image.shape()) +
+                             " does not match the deployment's expected "
+                             "[C, H, W] shape " +
+                             shape_to_string(expected));
+    }
+    if (std::ranges::any_of(image.data(),
+                            [](float x) { return !std::isfinite(x); })) {
+      requests_invalid_.increment();
+      ITASK_CHECK(false, subject(v) + " has a non-finite pixel (NaN or inf)");
     }
   }
   if (!snapshot->servable(task, config)) {
     requests_invalid_.increment();
     ITASK_CHECK(false,
-                std::string("try_submit_group: configuration ") +
+                std::string(entry) + ": configuration " +
                     core::config_kind_name(config) + " cannot serve " +
                     kg::task_id_to_string(task) + " from snapshot v" +
                     fmt::i64(snapshot->version()) +
                     " (publish and install a snapshot containing it first)");
   }
-  const int64_t effective_deadline_us =
-      deadline_us.value_or(options_.deadline_us);
-  ITASK_CHECK(effective_deadline_us >= 0,
-              "try_submit_group: deadline_us must be >= 0");
+  const int64_t budget_us = deadline_us.value_or(options_.deadline_us);
+  ITASK_CHECK(budget_us >= 0,
+              std::string(entry) + ": deadline_us must be >= 0");
 
-  auto gather = std::make_shared<GroupGather>();
-  gather->group_id = next_group_id_.fetch_add(1, std::memory_order_relaxed);
-  gather->admitted_us = clock_();
-  gather->fusion = options_.fusion;
-  gather->views.resize(static_cast<size_t>(k));
-  gather->remaining = k;
-
-  // Each view becomes an ordinary Pending riding the ordinary hot path; the
-  // gather pointer is the only thing marking it as a group member.
-  std::vector<Pending> members;
-  members.reserve(static_cast<size_t>(k));
+  const int64_t admitted_us = clock_();
+  // Absolute deadline, saturating: a budget past the end of the clock
+  // clamps to INT64_MAX, which no pick-up time reaches ("never expires").
+  int64_t deadline_at_us = 0;  // none
+  if (budget_us > 0 &&
+      __builtin_add_overflow(admitted_us, budget_us, &deadline_at_us)) {
+    deadline_at_us = std::numeric_limits<int64_t>::max();
+  }
+  if (gather) {
+    gather->group_id = next_group_id_.fetch_add(1, std::memory_order_relaxed);
+    gather->admitted_us = admitted_us;
+    gather->fusion = options_.fusion;
+    gather->views.resize(static_cast<size_t>(k));
+    gather->remaining = k;
+  }
   for (int64_t v = 0; v < k; ++v) {
-    Pending pending;
+    Pending& pending = members[static_cast<size_t>(v)];
     pending.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    pending.image = std::move(views[static_cast<size_t>(v)]);
     pending.task = task;
     pending.config = config;
-    pending.admitted_us = gather->admitted_us;
+    pending.admitted_us = admitted_us;
+    pending.deadline_us = deadline_at_us;
     pending.admitted_version = snapshot->version();
-    if (effective_deadline_us > 0) {
-      pending.deadline_us = gather->admitted_us + effective_deadline_us;
-    }
     pending.group = gather;
     pending.view_index = v;
-    members.push_back(std::move(pending));
   }
-  GroupSubmitResult result;
-  result.future = gather->promise.get_future();
-  // All-or-nothing: either every view is queued contiguously under one lock
-  // or none is — a partially admitted group (siblings rejected, gather never
-  // completable) cannot exist.
+  // Taken before the push: from then on a worker may already fulfil it.
+  std::future<R> future = promise.get_future();
+  // All-or-nothing: either every member is queued contiguously under one
+  // lock or none is — a partially admitted group (siblings rejected, gather
+  // never completable) cannot exist.
   switch (queue_.push_all(members)) {
     case PushResult::kFull:
       rejected_queue_full_.increment();
-      result.future.reset();
-      result.reject = RejectReason::kQueueFull;
-      return result;
+      return {std::nullopt, RejectReason::kQueueFull};
     case PushResult::kClosed:
       rejected_shutdown_.increment();
-      result.future.reset();
-      result.reject = RejectReason::kShuttingDown;
-      return result;
+      return {std::nullopt, RejectReason::kShuttingDown};
     case PushResult::kOk:
       break;
   }
-  groups_submitted_.increment();
+  if (gather) groups_submitted_.increment();
   requests_submitted_.increment(k);
-  return result;
+  return {std::move(future)};
+}
+
+SubmitResult InferenceServer::try_submit(Tensor image, TaskRef task,
+                                         core::ConfigKind config,
+                                         std::optional<int64_t> deadline_us) {
+  Pending pending;
+  pending.image = std::move(image);
+  return admit({&pending, 1}, pending.promise, nullptr, task.id, config,
+               deadline_us);
+}
+
+GroupSubmitResult InferenceServer::try_submit_group(
+    std::vector<Tensor> views, TaskRef task, core::ConfigKind config,
+    std::optional<int64_t> deadline_us) {
+  // Each view becomes an ordinary Pending riding the ordinary hot path; the
+  // gather pointer is the only thing marking it as a group member.
+  std::vector<Pending> members(views.size());
+  for (size_t v = 0; v < views.size(); ++v) {
+    members[v].image = std::move(views[v]);
+  }
+  auto gather = std::make_shared<GroupGather>();
+  return admit(members, gather->promise, gather, task.id, config,
+               deadline_us);
 }
 
 void InferenceServer::deliver(Pending& pending, InferenceResult&& result) {

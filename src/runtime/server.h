@@ -7,6 +7,11 @@
 //        │  the reject reason)           max_batch or max_wait)     │
 //        └────────── std::future<InferenceResult> ◀── fulfil ───────┘
 //
+// Admission has one body: a single request is a one-view push with no
+// gather, so it passes the same validation, deadline arithmetic, queue push
+// and reject accounting as a K-view group, and both return one result
+// template (BasicSubmitResult<R>, the fleet's result type too).
+//
 // The server holds an immutable core::DeploymentSnapshot behind an
 // atomically swapped shared_ptr. Each worker acquires the pointer ONCE per
 // micro-batch and runs the whole batch against that snapshot (RCU-style:
@@ -40,11 +45,11 @@
 // proves for snapshots before and after each publish.
 //
 // Fault tolerance contract: one bad request never takes the server down.
-// Malformed requests (wrong image shape, (task, config) not servable from
-// the current snapshot) throw at admission; an inference fault inside a
-// worker is delivered on exactly the affected group's futures while the
-// worker keeps draining; requests whose deadline passed before a worker
-// picked them are shed with DeadlineExceeded. Every admitted request's
+// Malformed requests (wrong image shape, a non-finite pixel, (task, config)
+// not servable from the current snapshot) throw at admission; an inference
+// fault inside a worker is delivered on exactly the affected group's futures
+// while the worker keeps draining; requests whose deadline passed before a
+// worker picked them are shed with DeadlineExceeded. Every admitted request's
 // future is always fulfilled — with a value or an exception, never
 // abandoned.
 #pragma once
@@ -55,6 +60,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -169,18 +175,6 @@ enum class RejectReason { kNone, kQueueFull, kShuttingDown, kTenantQuota };
 
 const char* reject_reason_name(RejectReason reason);
 
-/// The typed outcome of try_submit: either the future for the admitted
-/// request, or an explicit reject reason the caller can branch on (shed
-/// load on kQueueFull, stop submitting on kShuttingDown) — replacing the
-/// old bare optional that conflated the two.
-struct SubmitResult {
-  std::optional<std::future<InferenceResult>> future;
-  RejectReason reject = RejectReason::kNone;
-
-  bool admitted() const { return future.has_value(); }
-  explicit operator bool() const { return admitted(); }
-};
-
 /// What a group request's future resolves to: the fused detections plus the
 /// per-view results (index = view index) the gather assembled them from.
 /// `fused` is a pure function of the per-view detection multisets
@@ -196,13 +190,33 @@ struct GroupInferenceResult {
   double total_us = 0.0;  // group admission → fused result ready
 };
 
-/// The typed outcome of try_submit_group, mirroring SubmitResult.
-struct GroupSubmitResult {
-  std::optional<std::future<GroupInferenceResult>> future;
+/// The typed outcome of every admission surface — InferenceServer and
+/// InferenceFleet, single request and group alike: either the future for the
+/// admitted request (R = InferenceResult, or GroupInferenceResult for a
+/// group), or an explicit reject reason the caller can branch on (shed load
+/// on kQueueFull, stop submitting on kShuttingDown). `shard` is the fleet
+/// shard that admitted it; −1 from a bare server and on every reject.
+template <class R>
+struct BasicSubmitResult {
+  std::optional<std::future<R>> future;
   RejectReason reject = RejectReason::kNone;
+  int64_t shard = -1;
 
   bool admitted() const { return future.has_value(); }
   explicit operator bool() const { return admitted(); }
+};
+
+using SubmitResult = BasicSubmitResult<InferenceResult>;
+using GroupSubmitResult = BasicSubmitResult<GroupInferenceResult>;
+
+/// The task a submission names, spelled as its stable kg::TaskId or as the
+/// core::TaskHandle define_task returned (which submits against the
+/// handle's stable id). Implicit on purpose: one admission signature per
+/// entry takes either spelling.
+struct TaskRef {
+  TaskRef(kg::TaskId task) : id(task) {}
+  TaskRef(const core::TaskHandle& task) : id(task.id) {}
+  kg::TaskId id;
 };
 
 /// A serving engine over published core::DeploymentSnapshot bundles. The
@@ -235,21 +249,14 @@ class InferenceServer {
   /// either the future or the explicit reject reason (queue full /
   /// shutting down) — the caller sheds load. Malformed requests fail fast
   /// here instead of inside a worker: an image whose shape differs from the
-  /// snapshot's expected [C, H, W], or a (task, config) the *current*
-  /// snapshot cannot serve, throws std::invalid_argument (counted as
-  /// requests_invalid) — publish-and-install a snapshot containing the task
-  /// first. `deadline_us` overrides RuntimeOptions::deadline_us for this
-  /// request (0 = none).
-  SubmitResult try_submit(Tensor image, kg::TaskId task,
-                          core::ConfigKind config,
+  /// snapshot's expected [C, H, W] or that holds a NaN/±inf pixel, or a
+  /// (task, config) the *current* snapshot cannot serve, throws
+  /// std::invalid_argument (counted as requests_invalid) — publish-and-
+  /// install a snapshot containing the task first. `deadline_us` overrides
+  /// RuntimeOptions::deadline_us for this request (0 = none; a budget past
+  /// the end of the clock saturates to "never expires").
+  SubmitResult try_submit(Tensor image, TaskRef task, core::ConfigKind config,
                           std::optional<int64_t> deadline_us = std::nullopt);
-
-  /// Convenience overload: submits against the handle's stable task id.
-  SubmitResult try_submit(Tensor image, const core::TaskHandle& task,
-                          core::ConfigKind config,
-                          std::optional<int64_t> deadline_us = std::nullopt) {
-    return try_submit(std::move(image), task.id, config, deadline_us);
-  }
 
   /// Scatter/gather submit of ONE logical request carrying K views of the
   /// same scene. Admission is all-or-nothing (one atomic multi-push: the
@@ -257,21 +264,13 @@ class InferenceServer {
   /// rides the ordinary batcher/arena hot path as an independent work item —
   /// workers are group-oblivious — and the worker completing the LAST view
   /// fuses the per-view detections (RuntimeOptions::fusion, outside its
-  /// ArenaScope) and resolves the single future. Validation is per view
-  /// (shape + servable, as try_submit); `deadline_us` applies to every view,
-  /// and any view failing (fault or deadline shed) fails the group with
-  /// GroupViewFault while sibling requests are unaffected.
+  /// ArenaScope) and resolves the single future. Validation is try_submit's,
+  /// per view; `deadline_us` applies to every view, and any view failing
+  /// (fault or deadline shed) fails the group with GroupViewFault while
+  /// sibling requests are unaffected.
   GroupSubmitResult try_submit_group(
-      std::vector<Tensor> views, kg::TaskId task, core::ConfigKind config,
+      std::vector<Tensor> views, TaskRef task, core::ConfigKind config,
       std::optional<int64_t> deadline_us = std::nullopt);
-
-  /// Convenience overload: submits against the handle's stable task id.
-  GroupSubmitResult try_submit_group(
-      std::vector<Tensor> views, const core::TaskHandle& task,
-      core::ConfigKind config,
-      std::optional<int64_t> deadline_us = std::nullopt) {
-    return try_submit_group(std::move(views), task.id, config, deadline_us);
-  }
 
   /// Graceful shutdown: stops admission, drains every queued request
   /// (all outstanding futures are fulfilled), joins the workers. Idempotent;
@@ -321,6 +320,16 @@ class InferenceServer {
     int64_t view_index = 0;
   };
 
+  /// The one admission body behind try_submit (one member, no gather) and
+  /// try_submit_group (K members sharing `gather`): validate, stamp, push
+  /// all-or-nothing, count; the result's future comes from `promise`.
+  /// Throws with nothing queued on malformed input.
+  template <class R>
+  BasicSubmitResult<R> admit(std::span<Pending> members,
+                             std::promise<R>& promise,
+                             const std::shared_ptr<GroupGather>& gather,
+                             kg::TaskId task, core::ConfigKind config,
+                             std::optional<int64_t> deadline_us);
   void worker_loop(int64_t worker_index);
   /// Fulfillment seams every worker outcome routes through: an ordinary
   /// request resolves its own promise; a group view deposits into the gather

@@ -17,6 +17,7 @@
 #include <mutex>
 #include <new>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,29 +102,35 @@ constexpr auto kLongWait = std::chrono::microseconds(200000);
 
 // ---------------------------------------------------------------- queue ----
 
+// A single item through the queue's one producer entry: a span of one.
+template <class T>
+bool push_one(BoundedQueue<T>& q, T item) {
+  return q.push_all(std::span<T>(&item, 1)) == PushResult::kOk;
+}
+
 TEST(BoundedQueue, RejectsWhenFull) {
   BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // backpressure: full queue rejects
+  EXPECT_TRUE(push_one(q, 1));
+  EXPECT_TRUE(push_one(q, 2));
+  EXPECT_FALSE(push_one(q, 3));  // backpressure: full queue rejects
   EXPECT_EQ(q.size(), 2);
   const auto batch = q.pop_batch(8, kNoWait);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0], 1);
   EXPECT_EQ(batch[1], 2);
-  EXPECT_TRUE(q.try_push(3));  // capacity freed, admission resumes
+  EXPECT_TRUE(push_one(q, 3));  // capacity freed, admission resumes
 }
 
 TEST(BoundedQueue, RejectsAfterClose) {
   BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.try_push(1));
+  EXPECT_TRUE(push_one(q, 1));
   q.close();
-  EXPECT_FALSE(q.try_push(2));
+  EXPECT_FALSE(push_one(q, 2));
 }
 
 TEST(BoundedQueue, BatchClosesAtMaxItems) {
   BoundedQueue<int> q(16);
-  for (int i = 0; i < 7; ++i) q.try_push(i);
+  for (int i = 0; i < 7; ++i) push_one(q, i);
   const auto batch = q.pop_batch(4, kLongWait);
   ASSERT_EQ(batch.size(), 4u);  // size rule fires before the deadline
   for (int i = 0; i < 4; ++i) EXPECT_EQ(batch[static_cast<size_t>(i)], i);
@@ -137,7 +144,7 @@ TEST(BoundedQueue, PopIntoCallerBufferReusesStorageNoAlloc) {
   BoundedQueue<int> q(16);
   std::vector<int> batch;
   batch.reserve(4);  // warm: capacity covers every batch below
-  for (int i = 0; i < 6; ++i) q.try_push(i);
+  for (int i = 0; i < 6; ++i) push_one(q, i);
   const int64_t before = allocdebug::thread_alloc_count();
   q.pop_batch(4, kNoWait, batch);
   EXPECT_EQ(allocdebug::thread_alloc_count(), before);
@@ -154,7 +161,7 @@ TEST(BoundedQueue, PopIntoCallerBufferReusesStorageNoAlloc) {
 
 TEST(BoundedQueue, BatchClosesAtDeadline) {
   BoundedQueue<int> q(16);
-  q.try_push(42);
+  push_one(q, 42);
   const auto start = std::chrono::steady_clock::now();
   const auto batch = q.pop_batch(8, std::chrono::microseconds(2000));
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -165,8 +172,8 @@ TEST(BoundedQueue, BatchClosesAtDeadline) {
 
 TEST(BoundedQueue, DrainsAfterCloseThenSignalsExit) {
   BoundedQueue<int> q(8);
-  q.try_push(1);
-  q.try_push(2);
+  push_one(q, 1);
+  push_one(q, 2);
   q.close();
   const auto batch = q.pop_batch(8, kNoWait);
   ASSERT_EQ(batch.size(), 2u);  // close() does not drop admitted items
@@ -196,7 +203,7 @@ TEST(BoundedQueue, ConcurrentProducersLoseNothing) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&q, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.try_push(p * kPerProducer + i));
+        ASSERT_TRUE(push_one(q, p * kPerProducer + i));
       }
     });
   }
@@ -248,7 +255,7 @@ TEST(BoundedQueue, PopReleasesSlotResourcesAtPopNotNextPush) {
   BoundedQueue<StickyPayload> q(4);
   StickyPayload item(7);
   std::weak_ptr<int> observer = item.buffer;
-  ASSERT_TRUE(q.try_push(std::move(item)));
+  ASSERT_TRUE(push_one(q, std::move(item)));
   item.buffer.reset();  // drop the producer's (sticky-move) reference
   EXPECT_EQ(observer.use_count(), 1);  // only the ring slot holds it
 
@@ -1987,8 +1994,8 @@ TEST_F(RuntimeServing, FleetDetectionsIdenticalToSerialAtAnyShardCount) {
     };
     std::vector<std::future<InferenceResult>> futures;
     for (int64_t i = 0; i < eval_->size(); ++i) {
-      FleetSubmitResult r = fleet.try_submit(eval_->scene(i).image, task_->id,
-                                             config_of(i), /*tenant=*/0);
+      SubmitResult r = fleet.try_submit(eval_->scene(i).image, task_->id,
+                                        config_of(i), /*tenant=*/0);
       ASSERT_TRUE(r.admitted());
       // Routed within the task's replica set, never sprayed elsewhere.
       EXPECT_NE(std::find(replicas.begin(), replicas.end(), r.shard),
@@ -2024,7 +2031,7 @@ TEST_F(RuntimeServing, FleetQuotaRejectionAccountingAndWindowReset) {
   InferenceFleet fleet(fw_->publish(), fo);
   std::vector<std::future<InferenceResult>> futures;
   const auto submit = [&](int64_t tenant) {
-    FleetSubmitResult r =
+    SubmitResult r =
         fleet.try_submit(eval_->scene(0).image, task_->id,
                          ConfigKind::kQuantizedMultiTask, tenant);
     if (r.admitted()) futures.push_back(std::move(*r.future));
@@ -2087,7 +2094,7 @@ TEST_F(RuntimeServing, FleetStagedRolloutFailureRollsBackAndResumes) {
                                   v1->version()}));
 
   // Mixed versions keep serving the old task everywhere (skew tolerance).
-  FleetSubmitResult old_task = fleet.try_submit(
+  SubmitResult old_task = fleet.try_submit(
       eval_->scene(0).image, task_->id, ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(old_task.admitted());
   expect_same_detections(old_task.future->get().detections,
@@ -2097,8 +2104,8 @@ TEST_F(RuntimeServing, FleetStagedRolloutFailureRollsBackAndResumes) {
   // its (replication 1) primary is shard 0, a deterministic router fact.
   const int64_t fresh_primary = fleet.router().replicas(fresh.id)[0];
   if (fresh_primary == 0) {
-    FleetSubmitResult r = fleet.try_submit(eval_->scene(0).image, fresh.id,
-                                           ConfigKind::kQuantizedMultiTask);
+    SubmitResult r = fleet.try_submit(eval_->scene(0).image, fresh.id,
+                                      ConfigKind::kQuantizedMultiTask);
     ASSERT_TRUE(r.admitted());
     r.future->get();
   } else {
@@ -2116,7 +2123,7 @@ TEST_F(RuntimeServing, FleetStagedRolloutFailureRollsBackAndResumes) {
   EXPECT_EQ(fleet.shard_versions(),
             (std::vector<int64_t>{v2->version(), v2->version(),
                                   v2->version()}));
-  FleetSubmitResult now_servable = fleet.try_submit(
+  SubmitResult now_servable = fleet.try_submit(
       eval_->scene(1).image, fresh.id, ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(now_servable.admitted());
   expect_same_detections(now_servable.future->get().detections,
@@ -2173,7 +2180,7 @@ TEST_F(RuntimeServing, FleetServesIdenticallyThroughStagedRollout) {
       const ConfigKind config = rng.bernoulli(0.5)
                                     ? ConfigKind::kTaskSpecific
                                     : ConfigKind::kQuantizedMultiTask;
-      FleetSubmitResult r =
+      SubmitResult r =
           fleet.try_submit(eval_->scene(scene).image, task_->id, config);
       if (r.admitted()) {
         streamed.push_back(Streamed{std::move(*r.future), scene, config});
@@ -2220,7 +2227,7 @@ TEST_F(RuntimeServing, FleetMergedScrapeAggregatesShardAndFleetRegistries) {
   InferenceFleet fleet(fw_->publish(), fo);
   std::vector<std::future<InferenceResult>> futures;
   for (int64_t i = 0; i < 8; ++i) {
-    FleetSubmitResult r = fleet.try_submit(
+    SubmitResult r = fleet.try_submit(
         eval_->scene(i).image, task_->id, ConfigKind::kQuantizedMultiTask);
     ASSERT_TRUE(r.admitted());
     futures.push_back(std::move(*r.future));
@@ -2281,7 +2288,7 @@ TEST_F(RuntimeServing, FleetValidatesOptionsAndShardAccess) {
   EXPECT_THROW(fleet.shard(2), std::invalid_argument);
   fleet.shutdown();  // idempotent, and admission reports shutdown after
   fleet.shutdown();
-  const FleetSubmitResult r = fleet.try_submit(
+  const SubmitResult r = fleet.try_submit(
       eval_->scene(0).image, task_->id, ConfigKind::kQuantizedMultiTask);
   EXPECT_FALSE(r.admitted());
   EXPECT_EQ(r.reject, RejectReason::kShuttingDown);
@@ -2537,7 +2544,7 @@ TEST_F(RuntimeServing, GroupFleetFusedIdenticalAtAnyShardCount) {
                                     : ConfigKind::kQuantizedMultiTask;
       auto views = detect::jittered_views(eval_->scene(i).image, kViews,
                                           0.05f, 500 + (uint64_t)i);
-      FleetGroupSubmitResult r =
+      GroupSubmitResult r =
           fleet.try_submit_group(std::move(views), task_->id, config);
       ASSERT_TRUE(r.admitted());
       EXPECT_NE(std::find(replicas.begin(), replicas.end(), r.shard),
@@ -2749,6 +2756,106 @@ TEST_F(RuntimeServing, GroupAdmissionValidatesAndRejectsAtomically) {
   EXPECT_EQ(late.reject, RejectReason::kShuttingDown);
   EXPECT_EQ(server.metrics().counter("rejected_queue_full").value(), 1);
   EXPECT_EQ(server.metrics().counter("rejected_shutdown").value(), 1);
+}
+
+TEST_F(RuntimeServing, AdmissionMaxDeadlineIsNeverShed) {
+  // A deadline budget of INT64_MAX us reaches past the end of the clock:
+  // the absolute deadline saturates to "never expires" instead of
+  // overflowing (signed-overflow UB) into the past, which shed the request
+  // as DeadlineExceeded. Single and group, on the server and the fleet.
+  constexpr int64_t kForever = std::numeric_limits<int64_t>::max();
+  const ConfigKind config = ConfigKind::kQuantizedMultiTask;
+  const auto views = [&] {
+    return detect::jittered_views(eval_->scene(1).image, 3, 0.05f, 17);
+  };
+  RuntimeOptions opts;
+  opts.workers = 1;
+  InferenceServer server(*snap_, opts);
+  auto single = server.try_submit(eval_->scene(0).image, *task_, config,
+                                  kForever);
+  auto group = server.try_submit_group(views(), *task_, config, kForever);
+  ASSERT_TRUE(single.admitted());
+  ASSERT_TRUE(group.admitted());
+  expect_same_detections(single.future->get().detections,
+                         fw_->detect(eval_->scene(0).image, *task_, config));
+  EXPECT_EQ(group.future->get().view_count, 3);
+  EXPECT_EQ(server.metrics().counter("requests_expired").value(), 0);
+
+  FleetOptions fo;
+  fo.shards = 2;
+  fo.shard_options.workers = 1;
+  InferenceFleet fleet(*snap_, fo);
+  auto fleet_single = fleet.try_submit(eval_->scene(0).image, *task_, config,
+                                       /*tenant=*/0, kForever);
+  auto fleet_group =
+      fleet.try_submit_group(views(), *task_, config, /*tenant=*/0, kForever);
+  ASSERT_TRUE(fleet_single.admitted());
+  ASSERT_TRUE(fleet_group.admitted());
+  expect_same_detections(fleet_single.future->get().detections,
+                         fw_->detect(eval_->scene(0).image, *task_, config));
+  EXPECT_EQ(fleet_group.future->get().view_count, 3);
+  for (int64_t s = 0; s < fleet.shard_count(); ++s) {
+    EXPECT_EQ(fleet.shard(s).metrics().counter("requests_expired").value(),
+              0);
+  }
+}
+
+TEST_F(RuntimeServing, AdmissionRejectsNonFinitePixels) {
+  // An image holding a NaN or +-inf pixel is malformed input, treated
+  // exactly like a mis-shaped one: std::invalid_argument at admission,
+  // counted once in requests_invalid, nothing queued — the whole group when
+  // any one view is bad. The fleet propagates the shard's rejection and
+  // never fails over on it.
+  const ConfigKind config = ConfigKind::kQuantizedMultiTask;
+  const auto poisoned = [&](float value) {
+    Tensor image = eval_->scene(0).image;
+    image[image.numel() / 2] = value;
+    return image;
+  };
+  const auto group_with_bad_view = [&](float value) {
+    std::vector<Tensor> views =
+        detect::jittered_views(eval_->scene(1).image, 3, 0.05f, 19);
+    views[1] = poisoned(value);
+    return views;
+  };
+  RuntimeOptions opts;
+  opts.workers = 1;
+  InferenceServer server(*snap_, opts);
+  FleetOptions fo;
+  fo.shards = 2;
+  fo.replication = 2;
+  fo.shard_options.workers = 1;
+  InferenceFleet fleet(*snap_, fo);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    EXPECT_THROW(server.try_submit(poisoned(bad), *task_, config),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        server.try_submit_group(group_with_bad_view(bad), *task_, config),
+        std::invalid_argument);
+    EXPECT_THROW(fleet.try_submit(poisoned(bad), *task_, config),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        fleet.try_submit_group(group_with_bad_view(bad), *task_, config),
+        std::invalid_argument);
+  }
+  server.shutdown();
+  fleet.shutdown();
+  EXPECT_EQ(server.metrics().counter("requests_invalid").value(), 6);
+  EXPECT_EQ(fleet.shard(0).metrics().counter("requests_invalid").value() +
+                fleet.shard(1).metrics().counter("requests_invalid").value(),
+            6);
+  // Nothing was queued: no request or group admitted, no batch ever formed.
+  for (MetricsRegistry* m : {&server.metrics(), &fleet.shard(0).metrics(),
+                             &fleet.shard(1).metrics()}) {
+    EXPECT_EQ(m->counter("requests_submitted").value(), 0);
+    EXPECT_EQ(m->counter("groups_submitted").value(), 0);
+    EXPECT_EQ(m->counter("batches").value(), 0);
+  }
+  // Malformed input is not a placement failure.
+  EXPECT_EQ(fleet.metrics().counter("fleet_failovers").value(), 0);
+  EXPECT_EQ(fleet.metrics().counter("fleet_requests_invalid").value(), 0);
 }
 
 TEST_F(RuntimeServing, GroupArenaZeroSteadyStateAllocationsWithGroupTraffic) {
