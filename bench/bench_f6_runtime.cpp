@@ -452,8 +452,9 @@ int main() {
       "table: completed + failed + expired == admitted requests (no request "
       "lost or hung); injected faults surface on the affected futures only, "
       "and a deadline converts queue-growth overload into bounded-latency "
-      "shedding. Kernel attribution: int8 micro-kernel holds the largest "
-      "share, pack/quantize/dequantize the rest. Live onboarding: zero "
+      "shedding. Kernel attribution: the int8 activation pack and "
+      "micro-kernel hold the largest shares; the vectorized activation "
+      "quantize and the dequantize are minorities. Live onboarding: zero "
       "stream failures across both publishes, each onboarded task serves "
       "from the first post-install request, and p50/p99 return to "
       "steady-state level in the after-install phases — the 'during' rows "

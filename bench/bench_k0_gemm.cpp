@@ -12,11 +12,17 @@
 // (nonzero exit), which is what the ctest smoke entry exercises. Results are
 // also written to BENCH_kernels.json so later PRs have a kernel-perf
 // baseline to regress against.
+//
+// A second table times the element kernels of tensor/vmath.h (GELU, its
+// gradient, INT8 activation quantize): the vector loop against the scalar
+// port it must equal bit for bit, checked before timing like the GEMMs.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +32,7 @@
 #include "tensor/gemm.h"
 #include "tensor/profile.h"
 #include "tensor/rng.h"
+#include "tensor/vmath.h"
 
 namespace itask {
 namespace {
@@ -200,6 +207,97 @@ Result run_case(const Case& c, double min_seconds, Rng& rng) {
   return r;
 }
 
+/// One vmath element kernel timed as the vector loop and as a loop over
+/// its scalar port.
+struct ElementResult {
+  const char* name;
+  double vector_ns = 0.0;  // per element
+  double scalar_ns = 0.0;
+};
+
+/// Times fn (one pass over `n` elements) by doubling the iteration count
+/// until the run exceeds `min_seconds`; returns ns per element.
+template <typename Fn>
+double time_ns_per_element(int64_t n, double min_seconds, Fn&& fn) {
+  fn();
+  for (int64_t iters = 1;; iters *= 2) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int64_t i = 0; i < iters; ++i) fn();
+    const double s = seconds_since(t0);
+    if (s >= min_seconds || iters > (int64_t{1} << 30))
+      return s * 1e9 / static_cast<double>(iters * n);
+  }
+}
+
+/// Fails the run unless the two outputs agree bit for bit.
+template <typename T>
+void check_bit_exact(const char* name, std::span<const T> vec,
+                     std::span<const T> ref) {
+  if (std::memcmp(vec.data(), ref.data(), vec.size_bytes()) != 0) {
+    std::fprintf(stderr, "PARITY FAILURE: %s (vector vs scalar port)\n",
+                 name);
+    std::exit(1);
+  }
+}
+
+/// GELU, GELU' and quantize over one fc1 activation at batch 8 ([8, 10, 80]
+/// = 6400 elements), the largest element loop of d40 inference.
+std::vector<ElementResult> run_element_kernels(double min_seconds,
+                                               Rng& rng) {
+  const int64_t n = 8 * 10 * 80;
+  Tensor x = rng.randn({n});
+  for (float& v : x.data()) v *= 3.0f;
+  // Specials ride along in the parity pass: ±0, ±inf, NaN, a denormal.
+  x[0] = 0.0f;
+  x[1] = -0.0f;
+  x[2] = INFINITY;
+  x[3] = -INFINITY;
+  x[4] = NAN;
+  x[5] = 1e-40f;
+  const Tensor g = rng.randn({n});
+  const std::span<const float> xs = x.data();
+  const std::span<const float> gs = g.data();
+  std::vector<float> vec(static_cast<size_t>(n));
+  std::vector<float> ref(static_cast<size_t>(n));
+  std::vector<int8_t> qvec(static_cast<size_t>(n));
+  std::vector<int8_t> qref(static_cast<size_t>(n));
+  const float scale = 6.0f / 255.0f;
+  const int32_t zp = -3;
+
+  auto gelu_vec = [&] { vmath::gelu(xs, vec); };
+  auto gelu_ref = [&] {
+    for (int64_t i = 0; i < n; ++i) ref[i] = vmath::gelu_scalar(xs[i]);
+  };
+  auto grad_vec = [&] { vmath::gelu_grad(xs, gs, vec); };
+  auto grad_ref = [&] {
+    for (int64_t i = 0; i < n; ++i)
+      ref[i] = vmath::gelu_grad_scalar(xs[i], gs[i]);
+  };
+  auto quant_vec = [&] { vmath::quantize(xs, qvec, scale, zp, -128, 127); };
+  auto quant_ref = [&] {
+    for (int64_t i = 0; i < n; ++i)
+      qref[i] = vmath::quantize_scalar(xs[i], scale, zp, -128, 127);
+  };
+
+  std::vector<ElementResult> rows;
+  gelu_vec();
+  gelu_ref();
+  check_bit_exact<float>("gelu", vec, ref);
+  rows.push_back({"gelu", time_ns_per_element(n, min_seconds, gelu_vec),
+                  time_ns_per_element(n, min_seconds, gelu_ref)});
+  grad_vec();
+  grad_ref();
+  check_bit_exact<float>("gelu_grad", vec, ref);
+  rows.push_back({"gelu_grad", time_ns_per_element(n, min_seconds, grad_vec),
+                  time_ns_per_element(n, min_seconds, grad_ref)});
+  quant_vec();
+  quant_ref();
+  check_bit_exact<int8_t>("quantize", qvec, qref);
+  rows.push_back({"quantize", time_ns_per_element(n, min_seconds, quant_vec),
+                  time_ns_per_element(n, min_seconds, quant_ref)});
+  return rows;
+}
+
 }  // namespace
 }  // namespace itask
 
@@ -292,6 +390,16 @@ int main() {
       "cases)\n",
       d40_prepacked_geomean, static_cast<long long>(pre_count));
 
+  std::printf("\nelement kernels (tensor/vmath.h, 6400 elements = d40 fc1 "
+              "activation at b8; bit-exact vs scalar port)\n\n");
+  std::printf("%-12s %14s %14s %8s\n", "kernel", "vector ns/el",
+              "scalar ns/el", "speedup");
+  const std::vector<ElementResult> elements =
+      run_element_kernels(min_seconds, rng);
+  for (const ElementResult& e : elements)
+    std::printf("%-12s %14.3f %14.3f %7.2fx\n", e.name, e.vector_ns,
+                e.scalar_ns, e.scalar_ns / e.vector_ns);
+
   FILE* json = std::fopen("BENCH_kernels.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
@@ -320,9 +428,21 @@ int main() {
         r.naive_gflops, r.packed_gflops, r.prepacked_gflops, r.speedup,
         r.prepacked_speedup, i + 1 < cases.size() ? "," : "");
   }
+  std::fprintf(json, "  ],\n  \"element_kernels\": [\n");
+  for (size_t i = 0; i < elements.size(); ++i) {
+    const ElementResult& e = elements[i];
+    std::fprintf(json,
+                 "    {\"name\": \"%s\", \"elements\": 6400, "
+                 "\"vector_ns_per_element\": %.4f, "
+                 "\"scalar_ns_per_element\": %.4f, \"speedup\": %.3f, "
+                 "\"bit_exact\": true}%s\n",
+                 e.name, e.vector_ns, e.scalar_ns, e.scalar_ns / e.vector_ns,
+                 i + 1 < elements.size() ? "," : "");
+  }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
-  std::printf("wrote BENCH_kernels.json (%zu cases)\n", cases.size());
+  std::printf("wrote BENCH_kernels.json (%zu cases, %zu element kernels)\n",
+              cases.size(), elements.size());
 
   // Where the packed kernels spend their time: the tensor/profile.h scoped
   // timers (normally disabled, zero-cost — the GFLOP/s above are measured
@@ -378,6 +498,9 @@ int main() {
       "tiles) gain least and have no prepacked column — no publish-time "
       "weight operand. Parity vs the naive kernels is checked before "
       "timing. Attribution: the micro-kernel sections dominate, pack stays "
-      "a minority share at these shapes; GFLOP/s numbers are hooks-off.");
+      "a minority share at these shapes; GFLOP/s numbers are hooks-off. "
+      "Element kernels: the vector loop is bit-exact against its scalar "
+      "port (checked before timing) and several times faster on AVX-512 "
+      "hosts; on other hosts both columns run the scalar port.");
   return 0;
 }

@@ -27,12 +27,12 @@ class Fp32PrepackedKernel final : public LinearKernel {
 
   Tensor apply(const Tensor& x) const override {
     const int64_t rows = x.numel() / packed_.k;
-    // Storage is row-major contiguous, so the input's flat data already IS
-    // the [rows, in] matrix — no reshape copy.
-    Tensor y({rows, packed_.n});
+    // Storage is row-major contiguous, so x's flat data already IS the
+    // [rows, in] matrix and y's the [rows, out] one — no reshape copies.
+    Tensor y(with_features(x, packed_.n));
     gemm::gemm_bt_prepacked(x.data().data(), packed_, y.data().data(), rows);
-    if (!bias_.empty()) y = ops::add_rowwise(y, bias_);
-    return y.reshape(with_features(x, packed_.n));
+    if (!bias_.empty()) ops::add_rowwise_inplace(y, bias_);
+    return y;
   }
 
  private:
@@ -43,11 +43,16 @@ class Fp32PrepackedKernel final : public LinearKernel {
 }  // namespace
 
 Tensor linear_fp32(const Tensor& x, const Tensor& weight, const Tensor* bias) {
+  ITASK_CHECK(weight.ndim() == 2, "linear_fp32: weight must be [out, in]");
   const int64_t in = weight.dim(1);
+  ITASK_CHECK(x.ndim() >= 1 && x.dim(x.ndim() - 1) == in,
+              "linear_fp32: trailing dim mismatch");
   const int64_t rows = x.numel() / in;
-  Tensor y = ops::matmul_bt(Tensor::borrow({rows, in}, x.data()), weight);
-  if (bias != nullptr) y = ops::add_rowwise(y, *bias);
-  return y.reshape(with_features(x, weight.dim(0)));
+  Tensor y(with_features(x, weight.dim(0)));
+  gemm::gemm_bt(x.data().data(), weight.data().data(), y.data().data(), rows,
+                in, weight.dim(0));
+  if (bias != nullptr) ops::add_rowwise_inplace(y, *bias);
+  return y;
 }
 
 Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool bias)

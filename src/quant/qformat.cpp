@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/vmath.h"
+
 namespace itask::quant {
 
 namespace {
@@ -48,9 +50,7 @@ QuantParams QuantParams::with_bits(int bits) const {
 }
 
 int8_t QuantParams::quantize(float x) const {
-  const int32_t q =
-      static_cast<int32_t>(std::lround(x / scale)) + zero_point;
-  return static_cast<int8_t>(std::clamp(q, qmin, qmax));
+  return vmath::quantize_scalar(x, scale, zero_point, qmin, qmax);
 }
 
 std::vector<int8_t> quantize_tensor(const Tensor& t, const QuantParams& p) {
@@ -63,8 +63,7 @@ void quantize_tensor_into(const Tensor& t, const QuantParams& p,
                           std::span<int8_t> out) {
   ITASK_CHECK(static_cast<int64_t>(out.size()) == t.numel(),
               "quantize_tensor_into: size mismatch");
-  auto d = t.data();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = p.quantize(d[i]);
+  vmath::quantize(t.data(), out, p.scale, p.zero_point, p.qmin, p.qmax);
 }
 
 Tensor dequantize_tensor(const std::vector<int8_t>& q, const Shape& shape,

@@ -37,6 +37,9 @@ struct QuantParams {
   /// representable range (used to lower calibrated 8-bit ranges to 4/6 bit).
   QuantParams with_bits(int bits) const;
 
+  /// round(x/scale) half away from zero, plus zero_point, saturated to
+  /// [qmin, qmax]: above the grid or +inf gives qmax, below it or −inf
+  /// qmin, NaN the zero point (vmath::quantize_scalar).
   int8_t quantize(float x) const;
   float dequantize(int8_t q) const {
     return (static_cast<int32_t>(q) - zero_point) * scale;
@@ -48,7 +51,8 @@ std::vector<int8_t> quantize_tensor(const Tensor& t, const QuantParams& p);
 
 /// Same, writing into caller storage (`out.size()` must equal `t.numel()`).
 /// The serving hot path uses this with arena-backed scratch so the per-call
-/// activation quantize allocates nothing.
+/// activation quantize allocates nothing. Runs the vector loop
+/// vmath::quantize, bit-identical to QuantParams::quantize per element.
 void quantize_tensor_into(const Tensor& t, const QuantParams& p,
                           std::span<int8_t> out);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "tensor/gemm.h"
+#include "tensor/vmath.h"
 
 namespace itask::ops {
 
@@ -71,19 +72,23 @@ void axpy_inplace(Tensor& a, float alpha, const Tensor& b) {
   for (size_t i = 0; i < ad.size(); ++i) ad[i] += alpha * bd[i];
 }
 
-Tensor add_rowwise(const Tensor& a, const Tensor& bias) {
+void add_rowwise_inplace(Tensor& a, const Tensor& bias) {
   ITASK_CHECK(bias.ndim() == 1, "add_rowwise: bias must be 1-D");
   ITASK_CHECK(a.ndim() >= 1, "add_rowwise: input must be at least 1-D");
   const int64_t c = a.dim(a.ndim() - 1);
   ITASK_CHECK(bias.dim(0) == c, "add_rowwise: bias length mismatch");
-  Tensor out = a;
-  auto o = out.data();
+  auto o = a.data();
   auto bd = bias.data();
   const int64_t rows = a.numel() / c;
   for (int64_t r = 0; r < rows; ++r) {
     float* row = o.data() + r * c;
     for (int64_t j = 0; j < c; ++j) row[j] += bd[j];
   }
+}
+
+Tensor add_rowwise(const Tensor& a, const Tensor& bias) {
+  Tensor out = a;
+  add_rowwise_inplace(out, bias);
   return out;
 }
 
@@ -192,32 +197,16 @@ Tensor relu_grad(const Tensor& input, const Tensor& grad_out) {
   return out;
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-}
-
 Tensor gelu(const Tensor& a) {
   Tensor out = a;
-  for (float& v : out.data()) {
-    const float inner = kGeluC * (v + 0.044715f * v * v * v);
-    v = 0.5f * v * (1.0f + std::tanh(inner));
-  }
+  vmath::gelu(out.data(), out.data());
   return out;
 }
 
 Tensor gelu_grad(const Tensor& input, const Tensor& grad_out) {
   check_same_shape(input, grad_out, "gelu_grad");
   Tensor out = grad_out;
-  auto o = out.data();
-  auto in = input.data();
-  for (size_t i = 0; i < o.size(); ++i) {
-    const float x = in[i];
-    const float inner = kGeluC * (x + 0.044715f * x * x * x);
-    const float t = std::tanh(inner);
-    const float dinner = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
-    const float dgelu = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
-    o[i] *= dgelu;
-  }
+  vmath::gelu_grad(input.data(), out.data(), out.data());
   return out;
 }
 

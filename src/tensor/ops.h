@@ -23,6 +23,7 @@ void axpy_inplace(Tensor& a, float alpha, const Tensor& b);  // a += alpha*b
 
 /// Adds a 1-D bias of length C to every row of a [..., C] tensor.
 Tensor add_rowwise(const Tensor& a, const Tensor& bias);
+void add_rowwise_inplace(Tensor& a, const Tensor& bias);
 
 // ---- matrix products ------------------------------------------------------
 

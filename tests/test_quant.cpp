@@ -55,6 +55,84 @@ TEST(QuantParams, ClampsOutOfRange) {
   EXPECT_EQ(p.quantize(-100.0f), -128);
 }
 
+TEST(QuantParams, SaturatesHugeAndInfinite) {
+  const QuantParams sym = QuantParams::symmetric(1.0f);
+  EXPECT_EQ(sym.quantize(3e9f), 127);
+  EXPECT_EQ(sym.quantize(-3e9f), -128);
+  EXPECT_EQ(sym.quantize(INFINITY), 127);
+  EXPECT_EQ(sym.quantize(-INFINITY), -128);
+  EXPECT_EQ(sym.quantize(NAN), 0);
+  const QuantParams asym = QuantParams::asymmetric(-1.0f, 3.0f);
+  ASSERT_NE(asym.zero_point, 0);
+  EXPECT_EQ(asym.quantize(1e12f), asym.qmax);
+  EXPECT_EQ(asym.quantize(-1e12f), asym.qmin);
+  EXPECT_EQ(asym.quantize(INFINITY), asym.qmax);
+  EXPECT_EQ(asym.quantize(-INFINITY), asym.qmin);
+  EXPECT_EQ(asym.quantize(NAN), asym.zero_point);
+  const QuantParams four = QuantParams::symmetric(1.0f, 4);
+  EXPECT_EQ(four.quantize(3e9f), 7);
+  EXPECT_EQ(four.quantize(-INFINITY), -8);
+  // The tensor path (the serving hot loop) gives the same answers.
+  const Tensor t = Tensor::from_values({3e9f, -3e9f, 1e12f, -1e12f, INFINITY,
+                                        -INFINITY, NAN});
+  for (const QuantParams& p : {sym, asym, four}) {
+    const std::vector<int8_t> q = quantize_tensor(t, p);
+    for (int64_t i = 0; i < t.numel(); ++i)
+      EXPECT_EQ(q[static_cast<size_t>(i)], p.quantize(t[i])) << "i=" << i;
+  }
+}
+
+TEST(Quant, QuantizeTensorMatchesScalarQuantize) {
+  // Hand-built power-of-two scales make (k + 0.5)·scale an exact tie after
+  // the division, so round-half-away-from-zero is really exercised.
+  std::vector<QuantParams> params;
+  for (const int bits : {4, 6, 8}) {
+    params.push_back(QuantParams::symmetric(1.7f, bits));
+    params.push_back(QuantParams::asymmetric(-0.3f, 2.2f, bits));
+    QuantParams tie = QuantParams::symmetric(1.0f, bits);
+    tie.scale = 0.25f;
+    tie.zero_point = bits == 4 ? -2 : 3;
+    params.push_back(tie);
+  }
+  Rng rng(11);
+  for (const QuantParams& p : params) {
+    std::vector<float> xs;
+    const float range = p.scale * static_cast<float>(p.qmax - p.qmin);
+    for (int i = 0; i < 300; ++i)
+      xs.push_back(rng.uniform(-2 * range, 2 * range));
+    for (int k = -140; k <= 140; ++k) {
+      xs.push_back((static_cast<float>(k) + 0.5f) * p.scale);
+      xs.push_back(static_cast<float>(k) * p.scale);
+    }
+    for (const float x : {0.0f, -0.0f, 1e-40f, -1e-40f, 3e9f, -3e9f, 1e12f,
+                          -1e12f, 3.4e38f, -3.4e38f, INFINITY, -INFINITY,
+                          NAN, -NAN})
+      xs.push_back(x);
+    const Tensor t({static_cast<int64_t>(xs.size())}, xs);
+    const std::vector<int8_t> q = quantize_tensor(t, p);
+    for (size_t i = 0; i < xs.size(); ++i)
+      ASSERT_EQ(q[i], p.quantize(xs[i]))
+          << "x=" << xs[i] << " grid [" << p.qmin << ", " << p.qmax << "]";
+    // Every tail length; the byte past the end is never written.
+    for (size_t n = 0; n <= 33; ++n) {
+      std::vector<int8_t> out(n + 1, int8_t{99});
+      quantize_tensor_into(
+          Tensor({static_cast<int64_t>(n)},
+                 std::vector<float>(xs.end() - static_cast<ptrdiff_t>(n),
+                                    xs.end())),
+          p, std::span(out).first(n));
+      for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(out[i], p.quantize(xs[xs.size() - n + i])) << "n=" << n;
+      EXPECT_EQ(out[n], 99) << "n=" << n;
+    }
+  }
+  // Half away from zero at exact ties, like std::lround.
+  const QuantParams& tie8 = params.back();
+  EXPECT_EQ(tie8.quantize(2.5f * tie8.scale), 3 + tie8.zero_point);
+  EXPECT_EQ(tie8.quantize(-2.5f * tie8.scale), -3 + tie8.zero_point);
+  EXPECT_EQ(tie8.quantize(0.49999997f * tie8.scale), tie8.zero_point);
+}
+
 TEST(QuantizeWeight, PerChannelNeverWorseThanPerTensor) {
   Rng rng(3);
   // Rows with very different magnitudes — the per-channel win case.

@@ -1,13 +1,18 @@
 // Unit tests for the Tensor class: construction, indexing, reshaping,
 // sub-tensor access, and precondition checking — plus the allocator seam
-// (Shape SBO, Arena/ArenaScope/ScratchVec, Tensor::borrow).
+// (Shape SBO, Arena/ArenaScope/ScratchVec, Tensor::borrow) and the vmath
+// element loops against their scalar ports.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "tensor/arena.h"
 #include "tensor/tensor.h"
+#include "tensor/vmath.h"
 
 namespace itask {
 namespace {
@@ -342,6 +347,121 @@ TEST(TensorBorrow, ViewsCallerStorageWithoutCopy) {
   EXPECT_TRUE(copy.allclose(view, 0.0f));
   EXPECT_THROW(Tensor::borrow({2, 3, 4}, owner.data()),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------- vmath ----
+//
+// The oracle is the in-library scalar port (not std::tanh), so these tests
+// hold on any host libm. Comparisons are on bit patterns: NaN payloads,
+// signed zeros and denormals must match too.
+
+/// A strided sweep over all 2^32 bit patterns, a dense [-12, 12] grid, ±0,
+/// denormals, ±inf and NaNs of both signs (quiet and signalling).
+std::vector<float> vmath_inputs() {
+  std::vector<float> xs;
+  for (uint64_t b = 0; b < (uint64_t{1} << 32); b += 1021)
+    xs.push_back(std::bit_cast<float>(static_cast<uint32_t>(b)));
+  for (int i = -12000; i <= 12000; ++i)
+    xs.push_back(static_cast<float>(i) * 1e-3f);
+  for (const uint32_t b :
+       {0x00000000u, 0x80000000u, 0x00000001u, 0x80000001u, 0x00400000u,
+        0x007fffffu, 0x807fffffu, 0x7f800000u, 0xff800000u, 0x7fc00000u,
+        0xffc00000u, 0x7f800001u, 0xffa00000u, 0x7fffffffu})
+    xs.push_back(std::bit_cast<float>(b));
+  return xs;
+}
+
+/// Gradients paired with vmath_inputs(): the same values, shuffled, so
+/// special values meet finite ones on both operands.
+std::vector<float> vmath_grads(const std::vector<float>& xs) {
+  std::vector<float> gs(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) gs[i] = xs[(i * 7919) % xs.size()];
+  return gs;
+}
+
+uint32_t bits(float x) { return std::bit_cast<uint32_t>(x); }
+
+TEST(Vmath, GeluMatchesScalarPort) {
+  const std::vector<float> xs = vmath_inputs();
+  std::vector<float> ys(xs.size());
+  vmath::gelu(xs, ys);
+  int64_t mismatches = 0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const float want = vmath::gelu_scalar(xs[i]);
+    if (bits(ys[i]) != bits(want) && ++mismatches <= 5)
+      ADD_FAILURE() << std::hex << "x=0x" << bits(xs[i]) << " vector 0x"
+                    << bits(ys[i]) << " scalar 0x" << bits(want);
+  }
+  EXPECT_EQ(mismatches, 0);
+
+  // Every tail length; the slot past the end is never written.
+  for (size_t n = 0; n <= 33; ++n) {
+    std::vector<float> out(n + 1, 42.0f);
+    vmath::gelu(std::span(xs).subspan(5, n), std::span(out).first(n));
+    for (size_t i = 0; i < n; ++i)
+      EXPECT_EQ(bits(out[i]), bits(vmath::gelu_scalar(xs[5 + i])))
+          << "n=" << n << " i=" << i;
+    EXPECT_EQ(out[n], 42.0f) << "n=" << n;
+  }
+
+  // In place, as ops::gelu runs it.
+  std::vector<float> inplace(xs.begin(), xs.begin() + 1000);
+  vmath::gelu(inplace, inplace);
+  for (size_t i = 0; i < inplace.size(); ++i)
+    EXPECT_EQ(bits(inplace[i]), bits(ys[i]));
+}
+
+TEST(Vmath, GeluGradMatchesScalarPort) {
+  const std::vector<float> xs = vmath_inputs();
+  const std::vector<float> gs = vmath_grads(xs);
+  std::vector<float> ys(xs.size());
+  vmath::gelu_grad(xs, gs, ys);
+  int64_t mismatches = 0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const float want = vmath::gelu_grad_scalar(xs[i], gs[i]);
+    if (bits(ys[i]) != bits(want) && ++mismatches <= 5)
+      ADD_FAILURE() << std::hex << "x=0x" << bits(xs[i]) << " g=0x"
+                    << bits(gs[i]) << " vector 0x" << bits(ys[i])
+                    << " scalar 0x" << bits(want);
+  }
+  EXPECT_EQ(mismatches, 0);
+
+  for (size_t n = 0; n <= 33; ++n) {
+    std::vector<float> out(n + 1, 42.0f);
+    vmath::gelu_grad(std::span(xs).subspan(3, n), std::span(gs).subspan(3, n),
+                     std::span(out).first(n));
+    for (size_t i = 0; i < n; ++i)
+      EXPECT_EQ(bits(out[i]),
+                bits(vmath::gelu_grad_scalar(xs[3 + i], gs[3 + i])))
+          << "n=" << n << " i=" << i;
+    EXPECT_EQ(out[n], 42.0f) << "n=" << n;
+  }
+
+  // In place over the gradient, as ops::gelu_grad runs it.
+  std::vector<float> inplace(gs.begin(), gs.begin() + 1000);
+  vmath::gelu_grad(std::span(xs).first(1000), inplace, inplace);
+  for (size_t i = 0; i < inplace.size(); ++i)
+    EXPECT_EQ(bits(inplace[i]), bits(ys[i]));
+}
+
+TEST(Vmath, GeluScalarPortIsGelu) {
+  // The port against the formula in double with the host's double tanh:
+  // every tanh branch is crossed on [-12, 12] (|inner| < 2^-55 up to >= 22).
+  for (int i = -120000; i <= 120000; ++i) {
+    const float x = static_cast<float>(i) * 1e-4f;
+    const double xd = x;
+    const double want =
+        0.5 * xd *
+        (1.0 + std::tanh(0.7978845608028654 * (xd + 0.044715 * xd * xd * xd)));
+    ASSERT_NEAR(vmath::gelu_scalar(x), want, 1e-6 + 1e-6 * std::abs(want))
+        << "x=" << x;
+  }
+  EXPECT_EQ(bits(vmath::gelu_scalar(0.0f)), bits(0.0f));
+  EXPECT_EQ(bits(vmath::gelu_scalar(-0.0f)), bits(-0.0f));
+  EXPECT_EQ(vmath::gelu_scalar(INFINITY), INFINITY);
+  EXPECT_TRUE(std::isnan(vmath::gelu_scalar(NAN)));
+  const float denormal = std::bit_cast<float>(0x00000005u);
+  EXPECT_EQ(vmath::gelu_grad_scalar(denormal, 1.0f), 0.5f);
 }
 
 }  // namespace
