@@ -10,6 +10,15 @@
 // opened — the dynamic micro-batching rule (close at size OR deadline,
 // whichever first).
 //
+// A consumer polls before it sleeps: it spins (lock released, reading the
+// atomic size) for a short bounded window first, both for the first item
+// and for each later item of the open batch, and only then blocks on the
+// condition variable. On a virtual machine a blocked thread lets its vCPU
+// halt, and waking a halted vCPU is a round trip through the host
+// scheduler; under host contention that wake-up costs far more than the
+// short wait it ends, and its cost varies with the host's load. Spinning is
+// skipped on a single-CPU host, where it would only delay the producer.
+//
 // Storage is a fixed ring buffer sized at construction (capacity slots, no
 // per-push node allocation), and pop_batch has an overload draining into a
 // caller-owned vector — together these keep the queue off the steady-state
@@ -20,10 +29,13 @@
 // the queue is closed AND empty, which is the consumer's signal to exit.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -87,6 +99,7 @@ class BoundedQueue {
                  std::vector<T>& batch) {
     ITASK_CHECK(max_items >= 1, "BoundedQueue: max_items must be >= 1");
     batch.clear();
+    spin_until(std::chrono::steady_clock::now() + kIdleSpin);
     std::unique_lock<std::mutex> lock(mutex_);
     ready_.wait(lock, [&] { return size_ > 0 || closed_; });
     if (size_ == 0) return;  // closed and drained
@@ -107,6 +120,11 @@ class BoundedQueue {
         continue;
       }
       if (closed_) break;
+      lock.unlock();
+      spin_until(std::min(deadline,
+                          std::chrono::steady_clock::now() + kGatherSpin));
+      lock.lock();
+      if (size_ > 0 || closed_) continue;
       if (ready_.wait_until(lock, deadline,
                             [&] { return size_ > 0 || closed_; })) {
         continue;  // new item (or closed); loop decides
@@ -130,6 +148,26 @@ class BoundedQueue {
   }
 
  private:
+  /// How long an idle consumer polls for the first item before it blocks.
+  static constexpr std::chrono::microseconds kIdleSpin{200};
+  /// How long a consumer with an open batch polls for its next item before
+  /// it blocks for the rest of `max_wait`.
+  static constexpr std::chrono::microseconds kGatherSpin{1000};
+
+  /// Polls until an item is queued, the queue closes or `until` passes.
+  /// Called without the lock; the caller re-checks under it.
+  void spin_until(std::chrono::steady_clock::time_point until) const {
+    static const bool multi_cpu = std::thread::hardware_concurrency() > 1;
+    if (!multi_cpu) return;
+    while (size_.load(std::memory_order_relaxed) == 0 &&
+           !closed_.load(std::memory_order_relaxed) &&
+           std::chrono::steady_clock::now() < until) {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    }
+  }
+
   static size_t checked_capacity(int64_t capacity) {
     ITASK_CHECK(capacity >= 1, "BoundedQueue: capacity must be >= 1");
     return static_cast<size_t>(capacity);
@@ -144,8 +182,9 @@ class BoundedQueue {
   /// until a later push overwrites it (BoundedQueue.PopReleasesSlot…).
   std::vector<T> slots_;
   int64_t head_ = 0;
-  int64_t size_ = 0;
-  bool closed_ = false;
+  // Written only under mutex_; atomic so spin_until may poll them without it.
+  std::atomic<int64_t> size_{0};
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace itask::runtime

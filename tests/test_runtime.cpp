@@ -195,6 +195,40 @@ TEST(BoundedQueue, CloseWakesBlockedConsumer) {
   EXPECT_TRUE(returned);
 }
 
+TEST(BoundedQueue, OpenBatchTakesItemsPushedWhileItPolls) {
+  // The consumer polls (spins) for the next item of an open batch before it
+  // blocks; an item pushed during that window, or after it, joins the same
+  // batch in push order, and the size rule still closes the batch.
+  BoundedQueue<int> q(8);
+  std::vector<int> batch;
+  std::thread consumer([&] { q.pop_batch(3, kLongWait, batch); });
+  push_one(q, 1);
+  std::this_thread::sleep_for(std::chrono::microseconds(50));
+  push_one(q, 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  push_one(q, 3);
+  consumer.join();
+  EXPECT_EQ(batch, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.size(), 0);
+}
+
+TEST(BoundedQueue, CloseEndsAnOpenBatchEarly) {
+  // close() ends a batch that is still gathering, whether the consumer is
+  // polling or blocked at that moment: it returns what it has instead of
+  // waiting out max_wait.
+  BoundedQueue<int> q(8);
+  push_one(q, 7);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<int> batch;
+  std::thread consumer(
+      [&] { q.pop_batch(4, std::chrono::seconds(30), batch); });
+  std::this_thread::sleep_for(std::chrono::microseconds(100));
+  q.close();
+  consumer.join();
+  EXPECT_EQ(batch, (std::vector<int>{7}));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+}
+
 TEST(BoundedQueue, ConcurrentProducersLoseNothing) {
   BoundedQueue<int> q(1024);
   constexpr int kProducers = 4;
