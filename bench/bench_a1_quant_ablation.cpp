@@ -78,7 +78,6 @@ int main() {
   for (int64_t tid : task_ids) tasks.push_back(fw.define_task(data::task_by_id(tid)));
 
   // FP32 reference rows.
-  fp32.set_training(false);
   double fp32_mean = 0.0;
   for (const auto& task : tasks)
     fp32_mean += eval_with([&](const Tensor& img) { return fp32.forward(img); },

@@ -42,7 +42,6 @@ int main() {
     return sum / static_cast<double>(tasks.size());
   };
 
-  fp32.set_training(false);
   const double fp32_f1 =
       mean_f1([&](const Tensor& img) { return fp32.forward(img); });
   std::printf("\nFP32 reference mean F1: %.3f (%.3f MB)\n\n", fp32_f1,

@@ -168,7 +168,6 @@ std::vector<std::vector<detect::Detection>> Framework::detect_batch(
     auto it = students_.find(task.slot);
     ITASK_CHECK(it != students_.end(),
                 "detect_batch: prepare_task_specific() first");
-    it->second->set_training(false);
     const vit::VitOutput out = it->second->forward(images);
     return decode_and_match(out, task, /*use_rel_head=*/true);
   }

@@ -28,14 +28,20 @@ std::vector<std::vector<Detection>> decode(const vit::VitOutput& output,
     for (int64_t cell = 0; cell < t; ++cell) {
       const float logit = obj.at({bi, cell, 0});
       const float p_obj = 1.0f / (1.0f + std::exp(-logit));
-      if (p_obj < options.objectness_threshold) continue;
+      // Written so a NaN p_obj is dropped too: a model fed huge finite
+      // pixels can overflow to non-finite outputs.
+      if (!(p_obj >= options.objectness_threshold)) continue;
+      float delta[4];
+      bool finite = true;
+      for (int64_t j = 0; j < 4; ++j) {
+        delta[j] = output.box_deltas.at({bi, cell, j});
+        finite = finite && std::isfinite(delta[j]);
+      }
+      if (!finite) continue;
       Detection d;
       d.cell = cell;
       d.objectness = p_obj;
       d.confidence = p_obj;  // pipeline refines with the task confidence
-      float delta[4];
-      for (int64_t j = 0; j < 4; ++j)
-        delta[j] = output.box_deltas.at({bi, cell, j});
       d.box = data::decode_box(delta, cell, options.grid, cell_px);
       d.attr_probs = Tensor({a});
       for (int64_t j = 0; j < a; ++j)

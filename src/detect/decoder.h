@@ -16,8 +16,9 @@ struct DecoderOptions {
 };
 
 /// Decodes one batch of model outputs into per-image candidate lists.
-/// Detections below the objectness threshold are dropped; task scoring and
-/// NMS are applied later by the pipeline.
+/// Cells whose objectness is below the threshold or not a number, or whose
+/// box deltas are not finite, are dropped; task scoring and NMS are applied
+/// later by the pipeline.
 std::vector<std::vector<Detection>> decode(const vit::VitOutput& output,
                                            const DecoderOptions& options);
 

@@ -1,6 +1,7 @@
 #include "detect/nms.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace itask::detect {
 
@@ -17,14 +18,25 @@ float iou(const BoxPx& a, const BoxPx& b) {
   return uni > 0.0f ? inter / uni : 0.0f;
 }
 
+namespace {
+
+// Three-way float comparison under which NaN equals NaN and sorts below
+// every number; ordinary values (±0 included) compare as usual.
+int compare(float x, float y) {
+  if (std::isnan(x) || std::isnan(y)) return std::isnan(y) - std::isnan(x);
+  return (x > y) - (x < y);
+}
+
+}  // namespace
+
 bool detection_order(const Detection& a, const Detection& b) {
-  if (a.confidence != b.confidence) return a.confidence > b.confidence;
+  if (const int c = compare(a.confidence, b.confidence)) return c > 0;
   if (a.predicted_class != b.predicted_class)
     return a.predicted_class < b.predicted_class;
-  if (a.box.cx != b.box.cx) return a.box.cx < b.box.cx;
-  if (a.box.cy != b.box.cy) return a.box.cy < b.box.cy;
-  if (a.box.w != b.box.w) return a.box.w < b.box.w;
-  if (a.box.h != b.box.h) return a.box.h < b.box.h;
+  if (const int c = compare(a.box.cx, b.box.cx)) return c < 0;
+  if (const int c = compare(a.box.cy, b.box.cy)) return c < 0;
+  if (const int c = compare(a.box.w, b.box.w)) return c < 0;
+  if (const int c = compare(a.box.h, b.box.h)) return c < 0;
   return a.cell < b.cell;
 }
 

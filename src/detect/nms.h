@@ -14,6 +14,9 @@ float iou(const BoxPx& a, const BoxPx& b);
 /// broken by class, then box coordinates, then cell. Confidence alone is not
 /// a strict order — with an unstable std::sort, equal-confidence detections
 /// would keep a platform-dependent survivor set through greedy NMS/matching.
+/// A strict weak order on any float values: a NaN field equals NaN and
+/// sorts below every number (so NaN confidences rank last), which the
+/// std::sort calls in NMS, metrics and fusion rely on.
 bool detection_order(const Detection& a, const Detection& b);
 
 /// Greedy NMS: keeps detections in descending confidence order (ties broken

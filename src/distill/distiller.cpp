@@ -20,7 +20,6 @@ struct TeacherSlice {
 /// cost of distillation otherwise (the teacher is the big model).
 std::vector<TeacherSlice> precompute_teacher(vit::VitModel& teacher,
                                              const data::Dataset& dataset) {
-  teacher.set_training(false);
   std::vector<TeacherSlice> cache(static_cast<size_t>(dataset.size()));
   const auto indices = dataset.all_indices();
   constexpr int64_t kChunk = 16;
@@ -90,7 +89,6 @@ DistillStats Distiller::run(const data::Dataset& dataset,
   ITASK_CHECK(dataset.size() > 0, "Distiller: empty dataset");
   const std::vector<TeacherSlice> teacher_cache =
       precompute_teacher(teacher_, dataset);
-  student_.set_training(true);
   DistillStats stats;
 
   TrainerOptions hard_options;
@@ -196,7 +194,6 @@ DistillStats Distiller::run(const data::Dataset& dataset,
       }
     }
   }
-  student_.set_training(false);
   return stats;
 }
 

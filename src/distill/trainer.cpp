@@ -113,7 +113,6 @@ float scheduled_lr(float base_lr, float min_fraction, float warmup_fraction,
 TrainStats Trainer::fit(const data::Dataset& dataset,
                         const data::TaskSpec* task) {
   ITASK_CHECK(dataset.size() > 0, "Trainer: empty dataset");
-  model_.set_training(true);
   TrainStats stats;
   std::vector<int64_t> order = dataset.all_indices();
   const int64_t steps_per_epoch = static_cast<int64_t>(
@@ -152,7 +151,6 @@ TrainStats Trainer::fit(const data::Dataset& dataset,
       }
     }
   }
-  model_.set_training(false);
   return stats;
 }
 

@@ -1,7 +1,6 @@
 #include "nn/activation.h"
 
 #include "tensor/ops.h"
-#include "tensor/rng.h"
 
 namespace itask::nn {
 
@@ -15,40 +14,6 @@ Tensor Gelu::infer(const Tensor& input) const { return ops::gelu(input); }
 Tensor Gelu::backward(const Tensor& grad_out) {
   ITASK_CHECK(!cached_input_.empty(), "Gelu: backward before forward");
   return ops::gelu_grad(cached_input_, grad_out);
-}
-
-Tensor Relu::forward(const Tensor& input) {
-  cached_input_ = input;
-  return ops::relu(input);
-}
-
-Tensor Relu::infer(const Tensor& input) const { return ops::relu(input); }
-
-Tensor Relu::backward(const Tensor& grad_out) {
-  ITASK_CHECK(!cached_input_.empty(), "Relu: backward before forward");
-  return ops::relu_grad(cached_input_, grad_out);
-}
-
-Dropout::Dropout(float p, uint64_t seed) : p_(p), next_seed_(seed) {
-  ITASK_CHECK(p >= 0.0f && p < 1.0f, "Dropout: p must be in [0, 1)");
-}
-
-Tensor Dropout::forward(const Tensor& input) {
-  if (!training() || p_ == 0.0f) {
-    cached_mask_ = Tensor();
-    return input;
-  }
-  Rng rng(next_seed_++);
-  const float keep = 1.0f - p_;
-  Tensor mask(input.shape());
-  for (float& m : mask.data()) m = rng.bernoulli(keep) ? 1.0f / keep : 0.0f;
-  cached_mask_ = mask;
-  return ops::mul(input, mask);
-}
-
-Tensor Dropout::backward(const Tensor& grad_out) {
-  if (cached_mask_.empty()) return grad_out;
-  return ops::mul(grad_out, cached_mask_);
 }
 
 }  // namespace itask::nn

@@ -1,4 +1,4 @@
-// Stateless activation layers (they cache the forward input for backward).
+// The GELU activation layer (it caches the forward input for backward).
 #pragma once
 
 #include "nn/module.h"
@@ -14,32 +14,6 @@ class Gelu : public Module {
 
  private:
   Tensor cached_input_;
-};
-
-class Relu : public Module {
- public:
-  Tensor forward(const Tensor& input);
-  /// Cache-free forward for concurrent inference.
-  Tensor infer(const Tensor& input) const;
-  Tensor backward(const Tensor& grad_out);
-
- private:
-  Tensor cached_input_;
-};
-
-/// Inverted dropout; identity in eval mode. Mask is drawn from the Rng
-/// supplied at construction (forked per forward call for reproducibility).
-class Dropout : public Module {
- public:
-  Dropout(float p, uint64_t seed);
-
-  Tensor forward(const Tensor& input);
-  Tensor backward(const Tensor& grad_out);
-
- private:
-  float p_;
-  uint64_t next_seed_;
-  Tensor cached_mask_;
 };
 
 }  // namespace itask::nn

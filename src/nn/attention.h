@@ -6,12 +6,6 @@
 
 namespace itask::nn {
 
-/// Rearranges [B, T, H*hd] into [B*H, T, hd] (exposed for tests).
-Tensor split_heads(const Tensor& x, int64_t heads);
-
-/// Inverse of split_heads: [B*H, T, hd] -> [B, T, H*hd].
-Tensor merge_heads(const Tensor& x, int64_t heads);
-
 /// Scaled-dot-product multi-head self-attention over token sequences
 /// shaped [B, T, D]. QKV and output projections are Linear layers.
 class MultiHeadAttention : public Module {
@@ -35,15 +29,19 @@ class MultiHeadAttention : public Module {
   const Tensor& last_attention() const { return cache_.attn; }
 
  private:
-  /// Activations backward() needs, all in the [B*H, T, *] layout.
+  /// Activations backward() needs: the projection output [B, T, 3D] and
+  /// the attention probabilities [B*H, T, T].
   struct Cache {
-    Tensor q, k, v, attn;
+    Tensor qkv, attn;
   };
 
-  /// The one attention body forward() and infer() share: slices qkv
-  /// [B, T, 3D] into heads, runs scaled-dot-product attention and merges
-  /// the context back to [B, T, D]. Fills `keep` when non-null.
-  Tensor attend(const Tensor& qkv, Cache* keep) const;
+  /// The one attention body forward() and infer() share: runs scaled-dot-
+  /// product attention per (image, head) straight out of qkv [B, T, 3D] —
+  /// head h of Q, K, V is the hd-wide column block at h·hd, D + h·hd and
+  /// 2D + h·hd, read through the GEMM leading dimension — and writes the
+  /// context into [B, T, D] at column h·hd. Moves the attention
+  /// probabilities into `keep_attn` when non-null.
+  Tensor attend(const Tensor& qkv, Tensor* keep_attn) const;
 
   int64_t dim_;
   int64_t heads_;
@@ -52,7 +50,6 @@ class MultiHeadAttention : public Module {
   Linear qkv_;
   Linear proj_;
   Cache cache_;
-  int64_t cached_batch_ = 0;
 };
 
 }  // namespace itask::nn

@@ -30,7 +30,7 @@ class Linear : public Module {
   Linear(int64_t in_features, int64_t out_features, Rng& rng,
          bool bias = true);
 
-  /// Forward pass; caches the input when training for use by backward().
+  /// Forward pass; caches the input for use by backward().
   Tensor forward(const Tensor& input);
 
   /// Cache-free forward for concurrent inference through the installed

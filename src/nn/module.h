@@ -48,10 +48,6 @@ class Module {
 
   void zero_grad();
 
-  /// Training mode toggles dropout etc. Propagates to children.
-  void set_training(bool training);
-  bool training() const { return training_; }
-
   /// Flattens parameters into a name->tensor map ("child.weight" style keys).
   io::StateDict state_dict();
 
@@ -81,7 +77,6 @@ class Module {
     Module* module;
   };
 
-  bool training_ = true;
   std::vector<std::unique_ptr<Parameter>> params_;
   std::vector<Child> children_;
 };

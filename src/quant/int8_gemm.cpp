@@ -294,8 +294,8 @@ void int8_gemm_bt_prepacked(std::span<const int8_t> a, int32_t a_zero_point,
     std::fill(acc.begin(), acc.end(), 0);
     return;
   }
-  ITASK_PROFILE_COUNT(profile::Counter::kInt8PrepackedCalls, 1);
-  ITASK_PROFILE_COUNT(profile::Counter::kInt8PackBytesAvoided, w.bytes());
+  profile::add_count(profile::Counter::kInt8PrepackedCalls, 1);
+  profile::add_count(profile::Counter::kInt8PackBytesAvoided, w.bytes());
   ScratchVec<int32_t> corr(n, /*zero_fill=*/false);
   for (int64_t j = 0; j < n; ++j) corr[j] = a_zero_point * w_row_sums[j];
   const int16_t* block = w.data.data();

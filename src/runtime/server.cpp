@@ -439,24 +439,13 @@ void InferenceServer::worker_loop(int64_t worker_index) {
         {
           const ArenaScope scope(arena);
           const Shape& img = batch[i].image.shape();
-          if (group.size() == 1) {
-            // Singleton group: serve a borrowed [1, C, H, W] view over the
-            // request's own tensor — no stacking copy at all. infer_raw only
-            // reads its input, honouring the borrow contract.
-            const Tensor view = Tensor::borrow(
-                {1, img[0], img[1], img[2]}, batch[group[0]].image.data());
-            infer_start_us = clock_();
-            raw = snapshot->infer_raw(view, batch[i].task, batch[i].config);
-          } else {
-            Tensor stacked(
-                {static_cast<int64_t>(group.size()), img[0], img[1], img[2]});
-            for (size_t g = 0; g < group.size(); ++g) {
-              stacked.set_index(static_cast<int64_t>(g),
-                                batch[group[g]].image);
-            }
-            infer_start_us = clock_();
-            raw = snapshot->infer_raw(stacked, batch[i].task, batch[i].config);
+          Tensor stacked(
+              {static_cast<int64_t>(group.size()), img[0], img[1], img[2]});
+          for (size_t g = 0; g < group.size(); ++g) {
+            stacked.set_index(static_cast<int64_t>(g), batch[group[g]].image);
           }
+          infer_start_us = clock_();
+          raw = snapshot->infer_raw(stacked, batch[i].task, batch[i].config);
         }
         // Nonzero only in binaries that interpose operator new onto
         // allocdebug — the zero-steady-state-allocation contract's meter.

@@ -29,9 +29,8 @@
 //
 // Steady-state serving is allocation-free: each worker owns a bump arena (tensor/arena.h) sized from the snapshot's own
 // measurement (DeploymentSnapshot::plan_workspace) and binds it around the
-// hot region — a singleton group serves through a borrowed view of the
-// request's tensor, larger groups stack into an arena-backed tensor, and
-// every inference intermediate lands in the arena. The scope ends before
+// hot region — each group stacks into an arena-backed tensor and every
+// inference intermediate lands in the arena. The scope ends before
 // decode (Detections escape into results, so they must stay heap-backed)
 // and the arena resets once per (config, task) group. test_runtime asserts
 // both halves of the contract: zero heap allocations in the scoped region

@@ -168,7 +168,8 @@ void micro_kernel(const float* __restrict ap, const float* __restrict bp,
 /// already-packed B block.
 void run_mc_slab(const float* a, ALayout alay, int64_t lda, int64_t ic,
                  int64_t m, int64_t pc, int64_t kc, int64_t jc,
-                 int64_t npanels, const float* bpack, float* c, int64_t n) {
+                 int64_t npanels, const float* bpack, float* c, int64_t ldc,
+                 int64_t n) {
   const int64_t mc = std::min(kMC, m - ic);
   const int64_t mpanels = (mc + kMR - 1) / kMR;
   float* apack = pack_workspace(tl_apack, mpanels * kMR * kc);
@@ -183,18 +184,20 @@ void run_mc_slab(const float* a, ALayout alay, int64_t lda, int64_t ic,
     for (int64_t pj = 0; pj < npanels; ++pj) {
       const int64_t j = jc + pj * kNR;
       micro_kernel(apack + pi * kMR * kc, bpack + pj * kNR * kc, kc,
-                   c + i * n + j, n, mr, std::min(kNR, n - j));
+                   c + i * ldc + j, ldc, mr, std::min(kNR, n - j));
     }
   }
 }
 
 /// Five-loop blocked driver; the public variants differ only in the layout
-/// tags handed to the packers.
-void gemm_driver(const float* a, ALayout alay, const float* b, BLayout blay,
-                 float* c, int64_t m, int64_t k, int64_t n) {
+/// tags handed to the packers. A zero leading dimension means dense.
+void gemm_driver(const float* a, ALayout alay, int64_t lda, const float* b,
+                 BLayout blay, int64_t ldb, float* c, int64_t ldc, int64_t m,
+                 int64_t k, int64_t n) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  const int64_t lda = alay == ALayout::kMK ? k : m;
-  const int64_t ldb = blay == BLayout::kKN ? n : k;
+  if (lda == 0) lda = alay == ALayout::kMK ? k : m;
+  if (ldb == 0) ldb = blay == BLayout::kKN ? n : k;
+  if (ldc == 0) ldc = n;
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
     for (int64_t jc = 0; jc < n; jc += kNC) {
@@ -209,7 +212,8 @@ void gemm_driver(const float* a, ALayout alay, const float* b, BLayout blay,
         pack_b(b, blay, ldb, pc, kc, jc, nc, bpack);
       }
       for (int64_t ic = 0; ic < m; ic += kMC)
-        run_mc_slab(a, alay, lda, ic, m, pc, kc, jc, npanels, bpack, c, n);
+        run_mc_slab(a, alay, lda, ic, m, pc, kc, jc, npanels, bpack, c, ldc,
+                    n);
     }
   }
 }
@@ -217,18 +221,18 @@ void gemm_driver(const float* a, ALayout alay, const float* b, BLayout blay,
 }  // namespace
 
 void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t k,
-             int64_t n) {
-  gemm_driver(a, ALayout::kMK, b, BLayout::kKN, c, m, k, n);
+             int64_t n, int64_t lda, int64_t ldb, int64_t ldc) {
+  gemm_driver(a, ALayout::kMK, lda, b, BLayout::kKN, ldb, c, ldc, m, k, n);
 }
 
 void gemm_bt(const float* a, const float* b, float* c, int64_t m, int64_t k,
-             int64_t n) {
-  gemm_driver(a, ALayout::kMK, b, BLayout::kNK, c, m, k, n);
+             int64_t n, int64_t lda, int64_t ldb, int64_t ldc) {
+  gemm_driver(a, ALayout::kMK, lda, b, BLayout::kNK, ldb, c, ldc, m, k, n);
 }
 
 void gemm_at(const float* a, const float* b, float* c, int64_t m, int64_t k,
-             int64_t n) {
-  gemm_driver(a, ALayout::kKM, b, BLayout::kKN, c, m, k, n);
+             int64_t n, int64_t lda, int64_t ldb, int64_t ldc) {
+  gemm_driver(a, ALayout::kKM, lda, b, BLayout::kKN, ldb, c, ldc, m, k, n);
 }
 
 PackedB pack_weights_bt(const float* b, int64_t k, int64_t n) {
@@ -262,8 +266,8 @@ void gemm_bt_prepacked(const float* a, const PackedB& b, float* c, int64_t m) {
   const int64_t k = b.k;
   const int64_t n = b.n;
   if (m <= 0 || n <= 0 || k <= 0) return;
-  ITASK_PROFILE_COUNT(profile::Counter::kGemmPrepackedCalls, 1);
-  ITASK_PROFILE_COUNT(profile::Counter::kGemmPackBytesAvoided, b.bytes());
+  profile::add_count(profile::Counter::kGemmPrepackedCalls, 1);
+  profile::add_count(profile::Counter::kGemmPackBytesAvoided, b.bytes());
   const float* block = b.data.data();
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
@@ -272,7 +276,7 @@ void gemm_bt_prepacked(const float* a, const PackedB& b, float* c, int64_t m) {
       const int64_t npanels = (nc + kNR - 1) / kNR;
       for (int64_t ic = 0; ic < m; ic += kMC)
         run_mc_slab(a, ALayout::kMK, k, ic, m, pc, kc, jc, npanels, block, c,
-                    n);
+                    n, n);
       block += npanels * kNR * kc;
     }
   }

@@ -32,17 +32,24 @@ inline constexpr int64_t kMR = 8;
 inline constexpr int64_t kNR = 16;
 
 /// C[M,N] += A[M,K] · B[K,N] (all row-major).
+///
+/// In all three variants lda/ldb/ldc are the row strides of A, B and C as
+/// stored; 0 (the default) means dense. A wider stride reads or writes a
+/// column block of a wider matrix in place (MultiHeadAttention's per-head
+/// slices of qkv): the packed panels hold the same values whatever the
+/// source stride, so the result is bit-identical to the dense call on a
+/// copied operand, and C elements outside the [M, N] view are not touched.
 void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t k,
-             int64_t n);
+             int64_t n, int64_t lda = 0, int64_t ldb = 0, int64_t ldc = 0);
 
 /// C[M,N] += A[M,K] · B[N,K]ᵀ (B stored row-major transposed — the Linear
 /// weight layout).
 void gemm_bt(const float* a, const float* b, float* c, int64_t m, int64_t k,
-             int64_t n);
+             int64_t n, int64_t lda = 0, int64_t ldb = 0, int64_t ldc = 0);
 
 /// C[M,N] += A[K,M]ᵀ · B[K,N] (the weight-gradient layout).
 void gemm_at(const float* a, const float* b, float* c, int64_t m, int64_t k,
-             int64_t n);
+             int64_t n, int64_t lda = 0, int64_t ldb = 0, int64_t ldc = 0);
 
 /// A weight matrix packed ONCE into the exact k-major NR-column panels the
 /// blocked driver otherwise builds per call, stored in the (KC-slab,

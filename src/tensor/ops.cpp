@@ -52,10 +52,9 @@ Tensor add_scalar(const Tensor& a, float s) {
   return out;
 }
 
-Tensor mul_scalar(const Tensor& a, float s) {
-  Tensor out = a;
-  for (float& v : out.data()) v *= s;
-  return out;
+Tensor mul_scalar(Tensor a, float s) {
+  for (float& v : a.data()) v *= s;
+  return a;
 }
 
 void add_inplace(Tensor& a, const Tensor& b) {
@@ -119,55 +118,19 @@ Tensor matmul_at(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-namespace {
-
-template <typename Fn>
-Tensor batched(const Tensor& a, int64_t m, int64_t n, Fn&& per_batch) {
-  const int64_t batches = a.dim(0);
-  Tensor out({batches, m, n});
-  for (int64_t i = 0; i < batches; ++i) per_batch(i, out);
-  return out;
-}
-
-}  // namespace
-
 Tensor bmm(const Tensor& a, const Tensor& b) {
   ITASK_CHECK(a.ndim() == 3 && b.ndim() == 3, "bmm: need 3-D operands");
   ITASK_CHECK(a.dim(0) == b.dim(0), "bmm: batch mismatch");
   ITASK_CHECK(a.dim(2) == b.dim(1), "bmm: inner dimension mismatch");
   const int64_t m = a.dim(1), k = a.dim(2), n = b.dim(2);
-  auto ad = a.data();
-  auto bd = b.data();
-  return batched(a, m, n, [&](int64_t i, Tensor& out) {
-    gemm::gemm_nn(ad.data() + i * m * k, bd.data() + i * k * n,
-                  out.data().data() + i * m * n, m, k, n);
-  });
-}
-
-Tensor bmm_bt(const Tensor& a, const Tensor& b) {
-  ITASK_CHECK(a.ndim() == 3 && b.ndim() == 3, "bmm_bt: need 3-D operands");
-  ITASK_CHECK(a.dim(0) == b.dim(0), "bmm_bt: batch mismatch");
-  ITASK_CHECK(a.dim(2) == b.dim(2), "bmm_bt: inner dimension mismatch");
-  const int64_t m = a.dim(1), k = a.dim(2), n = b.dim(1);
-  auto ad = a.data();
-  auto bd = b.data();
-  return batched(a, m, n, [&](int64_t i, Tensor& out) {
-    gemm::gemm_bt(ad.data() + i * m * k, bd.data() + i * n * k,
-                  out.data().data() + i * m * n, m, k, n);
-  });
-}
-
-Tensor bmm_at(const Tensor& a, const Tensor& b) {
-  ITASK_CHECK(a.ndim() == 3 && b.ndim() == 3, "bmm_at: need 3-D operands");
-  ITASK_CHECK(a.dim(0) == b.dim(0), "bmm_at: batch mismatch");
-  ITASK_CHECK(a.dim(1) == b.dim(1), "bmm_at: inner dimension mismatch");
-  const int64_t k = a.dim(1), m = a.dim(2), n = b.dim(2);
-  auto ad = a.data();
-  auto bd = b.data();
-  return batched(a, m, n, [&](int64_t i, Tensor& out) {
-    gemm::gemm_at(ad.data() + i * k * m, bd.data() + i * k * n,
-                  out.data().data() + i * m * n, m, k, n);
-  });
+  const int64_t batches = a.dim(0);
+  Tensor out({batches, m, n});
+  const float* ad = a.data().data();
+  const float* bd = b.data().data();
+  float* od = out.data().data();
+  for (int64_t i = 0; i < batches; ++i)
+    gemm::gemm_nn(ad + i * m * k, bd + i * k * n, od + i * m * n, m, k, n);
+  return out;
 }
 
 Tensor transpose2d(const Tensor& a) {
@@ -178,22 +141,6 @@ Tensor transpose2d(const Tensor& a) {
   auto od = out.data();
   for (int64_t i = 0; i < m; ++i)
     for (int64_t j = 0; j < n; ++j) od[j * m + i] = ad[i * n + j];
-  return out;
-}
-
-Tensor relu(const Tensor& a) {
-  Tensor out = a;
-  for (float& v : out.data()) v = v > 0.0f ? v : 0.0f;
-  return out;
-}
-
-Tensor relu_grad(const Tensor& input, const Tensor& grad_out) {
-  check_same_shape(input, grad_out, "relu_grad");
-  Tensor out = grad_out;
-  auto o = out.data();
-  auto in = input.data();
-  for (size_t i = 0; i < o.size(); ++i)
-    if (in[i] <= 0.0f) o[i] = 0.0f;
   return out;
 }
 
@@ -222,12 +169,11 @@ Tensor tanh_t(const Tensor& a) {
   return out;
 }
 
-Tensor softmax_lastdim(const Tensor& a) {
+Tensor softmax_lastdim(Tensor a) {
   ITASK_CHECK(a.ndim() >= 1, "softmax_lastdim: need at least 1-D");
   const int64_t c = a.dim(a.ndim() - 1);
   const int64_t rows = a.numel() / c;
-  Tensor out = a;
-  auto o = out.data();
+  auto o = a.data();
   for (int64_t r = 0; r < rows; ++r) {
     float* row = o.data() + r * c;
     float mx = row[0];
@@ -240,7 +186,7 @@ Tensor softmax_lastdim(const Tensor& a) {
     const float inv = 1.0f / denom;
     for (int64_t j = 0; j < c; ++j) row[j] *= inv;
   }
-  return out;
+  return a;
 }
 
 Tensor log_softmax_lastdim(const Tensor& a) {

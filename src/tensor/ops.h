@@ -17,7 +17,8 @@ Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);   // Hadamard product.
 Tensor add_scalar(const Tensor& a, float s);
-Tensor mul_scalar(const Tensor& a, float s);
+/// Takes `a` by value so a moved-in tensor is scaled in place.
+Tensor mul_scalar(Tensor a, float s);
 void add_inplace(Tensor& a, const Tensor& b);
 void axpy_inplace(Tensor& a, float alpha, const Tensor& b);  // a += alpha*b
 
@@ -39,19 +40,11 @@ Tensor matmul_at(const Tensor& a, const Tensor& b);
 /// [B, M, K] x [B, K, N] -> [B, M, N].
 Tensor bmm(const Tensor& a, const Tensor& b);
 
-/// [B, M, K] x [B, N, K]^T -> [B, M, N].
-Tensor bmm_bt(const Tensor& a, const Tensor& b);
-
-/// [B, K, M]^T x [B, K, N] -> [B, M, N].
-Tensor bmm_at(const Tensor& a, const Tensor& b);
-
 /// Transpose of a 2-D tensor.
 Tensor transpose2d(const Tensor& a);
 
 // ---- nonlinearities -------------------------------------------------------
 
-Tensor relu(const Tensor& a);
-Tensor relu_grad(const Tensor& input, const Tensor& grad_out);
 Tensor gelu(const Tensor& a);        // tanh approximation
 Tensor gelu_grad(const Tensor& input, const Tensor& grad_out);
 Tensor sigmoid(const Tensor& a);
@@ -59,7 +52,8 @@ Tensor tanh_t(const Tensor& a);
 
 // ---- softmax family (over the trailing axis) ------------------------------
 
-Tensor softmax_lastdim(const Tensor& a);
+/// Takes `a` by value so a moved-in tensor is normalised in place.
+Tensor softmax_lastdim(Tensor a);
 Tensor log_softmax_lastdim(const Tensor& a);
 
 /// Backward of softmax given its *output* y and upstream gradient g:

@@ -13,9 +13,6 @@
 // The snapshot feeds the same exposition formats as the serving metrics
 // (runtime/exposition), which is how bench_k0/bench_f6 attribute wall time
 // to pack vs micro-kernel vs quantize/dequantize.
-//
-// ITASK_PROFILE_SCOPE compiles to nothing under -DITASK_NO_PROFILING for
-// builds that want the hooks gone entirely.
 #pragma once
 
 #include <atomic>
@@ -98,8 +95,7 @@ struct CounterStats {
 std::vector<CounterStats> counter_snapshot();
 
 /// Adds `delta` to a counter when profiling is enabled (relaxed atomic; safe
-/// from concurrent inference workers). Prefer ITASK_PROFILE_COUNT, which
-/// compiles out under -DITASK_NO_PROFILING.
+/// from concurrent inference workers).
 inline void add_count(Counter c, int64_t delta) {
   if (enabled())
     detail::g_counters[static_cast<int>(c)].fetch_add(
@@ -138,15 +134,8 @@ class ScopedTimer {
 
 }  // namespace itask::profile
 
-#ifdef ITASK_NO_PROFILING
-#define ITASK_PROFILE_SCOPE(section)
-#define ITASK_PROFILE_COUNT(counter, delta)
-#else
-#define ITASK_PROFILE_COUNT(counter, delta) \
-  ::itask::profile::add_count((counter), (delta))
 #define ITASK_PROFILE_CONCAT_IMPL(a, b) a##b
 #define ITASK_PROFILE_CONCAT(a, b) ITASK_PROFILE_CONCAT_IMPL(a, b)
 #define ITASK_PROFILE_SCOPE(section)                 \
   ::itask::profile::ScopedTimer ITASK_PROFILE_CONCAT( \
       itask_profile_scope_, __LINE__)(section)
-#endif

@@ -128,18 +128,6 @@ Tensor Tensor::from_rows(
   return Tensor({r, c}, std::move(values));
 }
 
-Tensor Tensor::borrow(Shape shape, std::span<const float> storage) {
-  Tensor t;
-  t.shape_ = std::move(shape);
-  t.numel_ = shape_numel(t.shape_);
-  ITASK_CHECK(static_cast<int64_t>(storage.size()) == t.numel_,
-              "borrow: storage size does not match shape " +
-                  shape_to_string(t.shape_));
-  // Read-only by contract (see tensor.h); the view itself never writes.
-  t.data_ = const_cast<float*>(storage.data());
-  return t;
-}
-
 int64_t Tensor::dim(int64_t i) const {
   ITASK_CHECK(i >= 0 && i < ndim(), "dim index out of range");
   return shape_[static_cast<size_t>(i)];

@@ -12,8 +12,7 @@
 //    new storage comes from that arena instead — same values, same layout,
 //    no heap traffic. Arena-backed tensors are invalidated by the arena's
 //    reset(); they must not outlive the scope's owner (the runtime ends its
-//    scope before anything escapes a worker). Tensor::borrow() additionally
-//    gives a non-owning view over caller storage.
+//    scope before anything escapes a worker).
 #pragma once
 
 #include <cstdint>
@@ -56,13 +55,6 @@ class Tensor {
   /// Builds a 2-D tensor from nested lists; all rows must be equal length.
   static Tensor from_rows(
       std::initializer_list<std::initializer_list<float>> rows);
-
-  /// Non-owning read-only view over caller storage (no copy, no
-  /// allocation) — how the runtime serves a singleton group straight from
-  /// the request's own tensor. Contract: the storage outlives the view and
-  /// the view is only read through const access; copying it makes a normal
-  /// owning tensor.
-  static Tensor borrow(Shape shape, std::span<const float> storage);
 
   const Shape& shape() const { return shape_; }
   int64_t dim(int64_t i) const;
@@ -116,8 +108,8 @@ class Tensor {
   Shape shape_;
   float* data_ = nullptr;
   int64_t numel_ = 0;
-  /// Owning storage on the heap policy; empty for arena-backed or borrowed
-  /// tensors (whose data_ the tensor does not own).
+  /// Owning storage on the heap policy; empty for arena-backed tensors
+  /// (whose data_ the tensor does not own).
   std::vector<float> heap_;
 };
 

@@ -81,7 +81,6 @@ TEST_P(ArchSweep, QuantizedRuntimeTracksFp32) {
   const ViTConfig cfg = make_config(GetParam());
   Rng rng(17);
   VitModel model(cfg, rng);
-  model.set_training(false);
   const Tensor img = rng.rand({2, 3, cfg.image_size, cfg.image_size});
   const VitOutput ref = model.forward(img);
   quant::QuantizedVit qvit = quant::QuantizedVit::from_model(model);

@@ -1,11 +1,19 @@
 // Attention, transformer, patch embedding, and full-model gradient checks.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/gradcheck.h"
+#include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/transformer.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "vit/model.h"
 #include "vit/workload.h"
@@ -13,32 +21,181 @@
 namespace itask {
 namespace {
 
-using nn::merge_heads;
-using nn::split_heads;
-
-TEST(Heads, SplitMergeRoundTrip) {
-  Rng rng(1);
-  Tensor x = rng.randn({2, 5, 8});
-  for (int64_t heads : {1, 2, 4, 8}) {
-    Tensor split = split_heads(x, heads);
-    EXPECT_EQ(split.shape(), (Shape{2 * heads, 5, 8 / heads}));
-    EXPECT_TRUE(merge_heads(split, heads).allclose(x, 0.0f));
-  }
-}
-
-TEST(Heads, SplitLayout) {
-  // [B=1, T=2, D=4], 2 heads: head h sees dims [h*2, h*2+2).
-  Tensor x({1, 2, 4}, {0, 1, 2, 3, 4, 5, 6, 7});
-  Tensor s = split_heads(x, 2);
-  EXPECT_EQ(s.at({0, 0, 0}), 0.0f);  // head 0, token 0
-  EXPECT_EQ(s.at({0, 1, 1}), 5.0f);  // head 0, token 1
-  EXPECT_EQ(s.at({1, 0, 0}), 2.0f);  // head 1, token 0
-  EXPECT_EQ(s.at({1, 1, 1}), 7.0f);  // head 1, token 1
-}
-
 TEST(Heads, IndivisibleThrows) {
-  EXPECT_THROW(split_heads(Tensor({1, 2, 5}), 2), std::invalid_argument);
+  Rng rng(1);
+  EXPECT_THROW(nn::MultiHeadAttention(5, 2, rng), std::invalid_argument);
 }
+
+// ---- copy-based reference ---------------------------------------------------
+//
+// The attention composition the layer used before it read its heads in
+// place: slice qkv into Q, K, V, split each into [B*H, T, hd] copies, run
+// dense per-head GEMMs, scale, softmax, merge the context back, and re-pack
+// dQ/dK/dV in backward. The in-place layer must match it bit for bit.
+
+Tensor ref_split_heads(const Tensor& x, int64_t heads) {
+  const int64_t b = x.dim(0), t = x.dim(1), d = x.dim(2), hd = d / heads;
+  Tensor out({b * heads, t, hd});
+  for (int64_t bi = 0; bi < b; ++bi)
+    for (int64_t h = 0; h < heads; ++h)
+      for (int64_t ti = 0; ti < t; ++ti)
+        for (int64_t j = 0; j < hd; ++j)
+          out[((bi * heads + h) * t + ti) * hd + j] =
+              x[(bi * t + ti) * d + h * hd + j];
+  return out;
+}
+
+Tensor ref_merge_heads(const Tensor& x, int64_t heads) {
+  const int64_t b = x.dim(0) / heads, t = x.dim(1), hd = x.dim(2);
+  const int64_t d = heads * hd;
+  Tensor out({b, t, d});
+  for (int64_t bi = 0; bi < b; ++bi)
+    for (int64_t h = 0; h < heads; ++h)
+      for (int64_t ti = 0; ti < t; ++ti)
+        for (int64_t j = 0; j < hd; ++j)
+          out[(bi * t + ti) * d + h * hd + j] =
+              x[((bi * heads + h) * t + ti) * hd + j];
+  return out;
+}
+
+// [B, M, K] x [B, N, K]^T -> [B, M, N], one dense gemm_bt per batch.
+Tensor ref_bmm_bt(const Tensor& a, const Tensor& b) {
+  const int64_t nb = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(1);
+  Tensor out({nb, m, n});
+  for (int64_t i = 0; i < nb; ++i)
+    gemm::gemm_bt(a.data().data() + i * m * k, b.data().data() + i * n * k,
+                  out.data().data() + i * m * n, m, k, n);
+  return out;
+}
+
+// [B, K, M]^T x [B, K, N] -> [B, M, N], one dense gemm_at per batch.
+Tensor ref_bmm_at(const Tensor& a, const Tensor& b) {
+  const int64_t nb = a.dim(0), k = a.dim(1), m = a.dim(2), n = b.dim(2);
+  Tensor out({nb, m, n});
+  for (int64_t i = 0; i < nb; ++i)
+    gemm::gemm_at(a.data().data() + i * k * m, b.data().data() + i * k * n,
+                  out.data().data() + i * m * n, m, k, n);
+  return out;
+}
+
+// Columns [from, from + width) of every row of a [B, T, W] tensor.
+Tensor ref_columns(const Tensor& x, int64_t from, int64_t width) {
+  const int64_t rows = x.dim(0) * x.dim(1), w = x.dim(2);
+  Tensor out({x.dim(0), x.dim(1), width});
+  for (int64_t r = 0; r < rows; ++r)
+    for (int64_t j = 0; j < width; ++j)
+      out[r * width + j] = x[r * w + from + j];
+  return out;
+}
+
+struct ReferenceAttention {
+  ReferenceAttention(nn::MultiHeadAttention& layer, Rng& rng)
+      : heads(layer.heads()),
+        dim(layer.dim()),
+        scale(1.0f / std::sqrt(static_cast<float>(dim / heads))),
+        qkv(dim, 3 * dim, rng),
+        proj(dim, dim, rng) {
+    const io::StateDict state = layer.state_dict();
+    for (auto* sub : {&qkv, &proj}) {
+      const std::string prefix = sub == &qkv ? "qkv." : "proj.";
+      io::StateDict part;
+      for (const auto& [name, value] : state)
+        if (name.rfind(prefix, 0) == 0)
+          part.emplace(name.substr(prefix.size()), value);
+      sub->load_state_dict(part);
+    }
+  }
+
+  Tensor forward(const Tensor& x) {
+    const Tensor packed = qkv.forward(x);
+    q = ref_split_heads(ref_columns(packed, 0, dim), heads);
+    k = ref_split_heads(ref_columns(packed, dim, dim), heads);
+    v = ref_split_heads(ref_columns(packed, 2 * dim, dim), heads);
+    attn = ops::softmax_lastdim(ops::mul_scalar(ref_bmm_bt(q, k), scale));
+    return proj.forward(ref_merge_heads(ops::bmm(attn, v), heads));
+  }
+
+  Tensor backward(const Tensor& grad_out) {
+    const Tensor d_ctx = ref_split_heads(proj.backward(grad_out), heads);
+    const Tensor d_attn = ref_bmm_bt(d_ctx, v);
+    const Tensor d_v = ref_bmm_at(attn, d_ctx);
+    const Tensor d_scores = ops::mul_scalar(
+        ops::softmax_backward_lastdim(attn, d_attn), scale);
+    const Tensor dq = ref_merge_heads(ops::bmm(d_scores, k), heads);
+    const Tensor dk = ref_merge_heads(ref_bmm_at(d_scores, q), heads);
+    const Tensor dv = ref_merge_heads(d_v, heads);
+    const int64_t rows = dq.dim(0) * dq.dim(1);
+    Tensor d_qkv({dq.dim(0), dq.dim(1), 3 * dim});
+    for (int64_t r = 0; r < rows; ++r)
+      for (int64_t j = 0; j < dim; ++j) {
+        d_qkv[r * 3 * dim + j] = dq[r * dim + j];
+        d_qkv[r * 3 * dim + dim + j] = dk[r * dim + j];
+        d_qkv[r * 3 * dim + 2 * dim + j] = dv[r * dim + j];
+      }
+    return qkv.backward(d_qkv);
+  }
+
+  int64_t heads, dim;
+  float scale;
+  nn::Linear qkv, proj;
+  Tensor q, k, v, attn;
+};
+
+::testing::AssertionResult bit_identical(const Tensor& got,
+                                         const Tensor& want) {
+  if (got.shape() != want.shape())
+    return ::testing::AssertionFailure()
+           << shape_to_string(got.shape()) << " vs "
+           << shape_to_string(want.shape());
+  if (std::memcmp(got.data().data(), want.data().data(),
+                  static_cast<size_t>(got.numel()) * sizeof(float)) != 0)
+    return ::testing::AssertionFailure() << "values differ";
+  return ::testing::AssertionSuccess();
+}
+
+class AttentionInPlace
+    : public ::testing::TestWithParam<
+          std::tuple<int64_t, int64_t, int64_t, int64_t>> {};
+
+TEST_P(AttentionInPlace, BitIdenticalToCopyingReference) {
+  const auto [b, t, d, h] = GetParam();
+  Rng rng(static_cast<uint64_t>(b * 1000 + t * 100 + d + h));
+  nn::MultiHeadAttention layer(d, h, rng);
+  ReferenceAttention ref(layer, rng);
+  const Tensor x = rng.randn({b, t, d});
+  const Tensor grad_out = rng.randn({b, t, d});
+
+  const Tensor want = ref.forward(x);
+  EXPECT_TRUE(bit_identical(layer.forward(x), want)) << "forward";
+  EXPECT_TRUE(bit_identical(layer.infer(x), want)) << "infer";
+  EXPECT_TRUE(bit_identical(layer.last_attention(), ref.attn)) << "attn";
+
+  layer.zero_grad();
+  EXPECT_TRUE(bit_identical(layer.backward(grad_out), ref.backward(grad_out)))
+      << "input gradient";
+  const auto got_params = layer.parameters();
+  std::vector<nn::Parameter*> want_params = ref.qkv.parameters();
+  for (nn::Parameter* p : ref.proj.parameters()) want_params.push_back(p);
+  ASSERT_EQ(got_params.size(), want_params.size());
+  for (size_t i = 0; i < got_params.size(); ++i)
+    EXPECT_TRUE(bit_identical(got_params[i]->grad, want_params[i]->grad))
+        << got_params[i]->name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, AttentionInPlace,
+    ::testing::Values(std::make_tuple(1, 10, 40, 4),
+                      std::make_tuple(8, 10, 40, 4),
+                      std::make_tuple(32, 10, 40, 4),
+                      std::make_tuple(8, 10, 64, 4),
+                      std::make_tuple(3, 37, 48, 6),
+                      std::make_tuple(2, 5, 8, 1)),
+    [](const auto& info) {
+      return "b" + std::to_string(std::get<0>(info.param)) + "t" +
+             std::to_string(std::get<1>(info.param)) + "d" +
+             std::to_string(std::get<2>(info.param)) + "h" +
+             std::to_string(std::get<3>(info.param));
+    });
 
 TEST(Attention, OutputShapeAndGradCheck) {
   Rng rng(2);

@@ -2,7 +2,10 @@
 // metrics against hand-constructed scenarios, and the output decoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "detect/decoder.h"
 #include "detect/metrics.h"
@@ -126,6 +129,40 @@ TEST(Nms, DetectionOrderIsAStrictTotalOrderOnDistinctDetections) {
   c.confidence = 0.9f;
   EXPECT_TRUE(detection_order(c, a));
   EXPECT_FALSE(detection_order(a, c));
+}
+
+TEST(Nms, DetectionOrderIsAStrictWeakOrderWithNaNAndSignedZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<Detection> dets;
+  for (const float conf : {nan, 0.0f, -0.0f, 0.5f, 1.0f})
+    for (const float cx : {nan, 3.0f})
+      for (const int64_t cls : {0, 1}) {
+        Detection d = det(box(cx, 5, 4, 4), conf);
+        d.predicted_class = cls;
+        dets.push_back(d);
+      }
+  const auto less = [](const Detection& a, const Detection& b) {
+    return detection_order(a, b);
+  };
+  const auto equiv = [&](const Detection& a, const Detection& b) {
+    return !less(a, b) && !less(b, a);
+  };
+  for (const Detection& a : dets) {
+    EXPECT_FALSE(less(a, a));
+    for (const Detection& b : dets) {
+      if (less(a, b)) EXPECT_FALSE(less(b, a));
+      for (const Detection& c : dets) {
+        if (less(a, b) && less(b, c)) EXPECT_TRUE(less(a, c));
+        if (equiv(a, b) && equiv(b, c)) EXPECT_TRUE(equiv(a, c));
+      }
+    }
+  }
+  // ±0 confidences tie; NaN confidences rank after every number.
+  EXPECT_TRUE(equiv(det(box(3, 5, 4, 4), 0.0f), det(box(3, 5, 4, 4), -0.0f)));
+  std::sort(dets.begin(), dets.end(), detection_order);
+  EXPECT_FALSE(std::isnan(dets.front().confidence));
+  for (size_t i = 0; i < 4; ++i)
+    EXPECT_TRUE(std::isnan(dets[dets.size() - 1 - i].confidence));
 }
 
 GroundTruthObject gt(BoxPx b, bool relevant) {
@@ -263,6 +300,33 @@ TEST(Decoder, ThresholdGatesCells) {
   float sum = 0.0f;
   for (int64_t c = 0; c < 3; ++c) sum += d.class_probs[c];
   EXPECT_NEAR(sum, 1.0f, 1e-5f);
+}
+
+TEST(Decoder, DropsCellsWithNonFiniteObjectnessOrBox) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  vit::VitOutput out;
+  out.objectness = Tensor({1, 9, 1}, 5.0f);  // every cell is confident…
+  out.objectness.at({0, 0, 0}) = nan;        // …but a NaN objectness,
+  out.objectness.at({0, 1, 0}) = inf;        // (+inf is p_obj = 1: kept)
+  out.box_deltas = Tensor({1, 9, 4});
+  out.box_deltas.at({0, 2, 1}) = inf;        // an infinite box delta
+  out.box_deltas.at({0, 3, 3}) = nan;        // or a NaN one drops the cell
+  out.class_logits = Tensor({1, 9, 3});
+  out.attr_logits = Tensor({1, 9, 4});
+  DecoderOptions options;
+  options.grid = 3;
+  options.image_size = 24;
+  const auto dets = decode(out, options);
+  ASSERT_EQ(dets.size(), 1u);
+  std::vector<int64_t> cells;
+  for (const Detection& d : dets[0]) {
+    cells.push_back(d.cell);
+    EXPECT_TRUE(std::isfinite(d.objectness));
+    EXPECT_TRUE(std::isfinite(d.box.cx) && std::isfinite(d.box.cy) &&
+                std::isfinite(d.box.w) && std::isfinite(d.box.h));
+  }
+  EXPECT_EQ(cells, (std::vector<int64_t>{1, 4, 5, 6, 7, 8}));
 }
 
 TEST(Decoder, GridMismatchThrows) {

@@ -107,8 +107,6 @@ TEST(Distiller, StudentApproachesTeacher) {
   auto distance = [&]() {
     const auto idx = ds.all_indices();
     const data::Batch batch = ds.make_batch(idx);
-    teacher.set_training(false);
-    student.set_training(false);
     const auto t = teacher.forward(batch.images);
     const auto s = student.forward(batch.images);
     return nn::mse(s.class_logits, t.class_logits).value;
@@ -174,7 +172,6 @@ TEST(Distiller, TaskRelevanceSupervisionLearns) {
   // Relevance head should correlate with ground truth on training data.
   const auto idx = corpus.all_indices();
   const data::Batch batch = corpus.make_batch(idx, &task);
-  student.set_training(false);
   const auto out = student.forward(batch.images);
   int64_t correct = 0, total = 0;
   for (int64_t i = 0; i < out.relevance.numel(); ++i) {

@@ -119,47 +119,6 @@ TEST(Activations, GeluLayerMatchesOp) {
   EXPECT_TRUE(gelu.backward(g).allclose(ops::gelu_grad(x, g)));
 }
 
-TEST(Activations, ReluLayerMatchesOp) {
-  Relu relu;
-  Tensor x({3}, {-1.0f, 0.5f, 2.0f});
-  EXPECT_TRUE(relu.forward(x).allclose(ops::relu(x)));
-}
-
-TEST(Dropout, EvalModeIsIdentity) {
-  Dropout drop(0.5f, 1);
-  drop.set_training(false);
-  Rng rng(8);
-  Tensor x = rng.randn({10, 10});
-  EXPECT_TRUE(drop.forward(x).allclose(x));
-  EXPECT_TRUE(drop.backward(x).allclose(x));
-}
-
-TEST(Dropout, TrainModePreservesExpectation) {
-  Dropout drop(0.3f, 2);
-  drop.set_training(true);
-  Tensor x({10000}, 1.0f);
-  Tensor y = drop.forward(x);
-  EXPECT_NEAR(ops::mean(y), 1.0f, 0.05f);  // inverted dropout
-  int64_t zeros = 0;
-  for (float v : y.data())
-    if (v == 0.0f) ++zeros;
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.3, 0.03);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  Dropout drop(0.5f, 3);
-  drop.set_training(true);
-  Tensor x({100}, 1.0f);
-  Tensor y = drop.forward(x);
-  Tensor g = drop.backward(Tensor({100}, 1.0f));
-  EXPECT_TRUE(g.allclose(y));  // same mask, same scaling
-}
-
-TEST(Dropout, InvalidProbabilityThrows) {
-  EXPECT_THROW(Dropout(1.0f, 1), std::invalid_argument);
-  EXPECT_THROW(Dropout(-0.1f, 1), std::invalid_argument);
-}
-
 TEST(Optimizer, SgdStepDirection) {
   Rng rng(9);
   Linear layer(2, 2, rng);

@@ -291,7 +291,6 @@ vit::ViTConfig small_config() {
 TEST(QuantizedVit, TracksFp32ModelClosely) {
   Rng rng(9);
   vit::VitModel model(small_config(), rng);
-  model.set_training(false);
   Tensor images = rng.rand({4, 3, 8, 8});
   const vit::VitOutput ref = model.forward(images);
 
@@ -377,7 +376,6 @@ class CalibMethodSweep : public ::testing::TestWithParam<CalibMethod> {};
 TEST_P(CalibMethodSweep, AllMethodsProduceWorkingRuntime) {
   Rng rng(13);
   vit::VitModel model(small_config(), rng);
-  model.set_training(false);
   Tensor images = rng.rand({4, 3, 8, 8});
   QuantOptions options;
   options.method = GetParam();

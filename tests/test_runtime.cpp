@@ -1574,10 +1574,10 @@ TEST_F(RuntimeServing, ArenaResultsElementWiseIdenticalToHeapPathAndSerial) {
   }
 }
 
-TEST_F(RuntimeServing, ArenaSingletonGroupServesBorrowedViewIdentically) {
+TEST_F(RuntimeServing, ArenaSingletonGroupServesStackedBatchIdentically) {
   // max_batch = 1 forces every group to be a singleton, which the worker
-  // serves through a borrowed [1, C, H, W] view of the request's own tensor
-  // — no stacking copy — still element-wise identical to the serial path.
+  // stacks into an arena-backed [1, C, H, W] batch like any other group —
+  // element-wise identical to the serial path, with no arena overflow.
   RuntimeOptions opts;
   opts.workers = 1;
   opts.max_batch = 1;
@@ -2890,6 +2890,23 @@ TEST_F(RuntimeServing, AdmissionRejectsNonFinitePixels) {
   // Malformed input is not a placement failure.
   EXPECT_EQ(fleet.metrics().counter("fleet_failovers").value(), 0);
   EXPECT_EQ(fleet.metrics().counter("fleet_requests_invalid").value(), 0);
+}
+
+TEST_F(RuntimeServing, HugeFinitePixelsYieldNoDetections) {
+  // 3e38 is finite, so admission accepts it, but it overflows inside the
+  // model to non-finite head outputs. The decoder drops every such cell:
+  // the serial path and the server both return an empty list, not NaN boxes.
+  const Tensor image(eval_->scene(0).image.shape(), 3e38f);
+  RuntimeOptions opts;
+  opts.workers = 1;
+  InferenceServer server(*snap_, opts);
+  for (const ConfigKind config :
+       {ConfigKind::kTaskSpecific, ConfigKind::kQuantizedMultiTask}) {
+    EXPECT_TRUE(fw_->detect(image, *task_, config).empty());
+    auto f = server.try_submit(image, *task_, config);
+    ASSERT_TRUE(f.admitted());
+    EXPECT_TRUE(f.future->get().detections.empty());
+  }
 }
 
 TEST_F(RuntimeServing, GroupArenaZeroSteadyStateAllocationsWithGroupTraffic) {

@@ -1,6 +1,6 @@
 // Unit tests for the Tensor class: construction, indexing, reshaping,
 // sub-tensor access, and precondition checking — plus the allocator seam
-// (Shape SBO, Arena/ArenaScope/ScratchVec, Tensor::borrow) and the vmath
+// (Shape SBO, Arena/ArenaScope/ScratchVec) and the vmath
 // element loops against their scalar ports.
 #include <gtest/gtest.h>
 
@@ -329,24 +329,6 @@ TEST(ScratchVec, ArenaBackedUnderScopeHeapOtherwise) {
   for (int64_t i = 0; i < heap.size(); ++i) EXPECT_EQ(heap[i], 0);
   ScratchVec<float> empty(0);
   EXPECT_EQ(empty.size(), 0);
-}
-
-// --------------------------------------------------------------- borrow ----
-
-TEST(TensorBorrow, ViewsCallerStorageWithoutCopy) {
-  const Tensor owner({3, 4}, 1.5f);
-  const Tensor view = Tensor::borrow({1, 3, 4}, owner.data());
-  EXPECT_EQ(view.shape(), (Shape{1, 3, 4}));
-  EXPECT_EQ(view.numel(), 12);
-  // Same storage, not a copy.
-  EXPECT_EQ(view.data().data(), owner.data().data());
-  EXPECT_EQ(view.at({0, 2, 3}), 1.5f);
-  // Copying the view materialises an owning tensor.
-  const Tensor copy = view;
-  EXPECT_NE(copy.data().data(), owner.data().data());
-  EXPECT_TRUE(copy.allclose(view, 0.0f));
-  EXPECT_THROW(Tensor::borrow({2, 3, 4}, owner.data()),
-               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- vmath ----
