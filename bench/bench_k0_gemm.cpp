@@ -14,7 +14,7 @@
 // baseline to regress against.
 //
 // A second table times the element kernels of tensor/vmath.h (GELU, its
-// gradient, INT8 activation quantize): the vector loop against the scalar
+// gradient, exp, INT8 activation quantize): the vector loop against the scalar
 // port it must equal bit for bit, checked before timing like the GEMMs.
 #include <chrono>
 #include <cmath>
@@ -240,7 +240,7 @@ void check_bit_exact(const char* name, std::span<const T> vec,
   }
 }
 
-/// GELU, GELU' and quantize over one fc1 activation at batch 8 ([8, 10, 80]
+/// GELU, GELU', exp and quantize over one fc1 activation at batch 8 ([8, 10, 80]
 /// = 6400 elements), the largest element loop of d40 inference.
 std::vector<ElementResult> run_element_kernels(double min_seconds,
                                                Rng& rng) {
@@ -273,6 +273,10 @@ std::vector<ElementResult> run_element_kernels(double min_seconds,
     for (int64_t i = 0; i < n; ++i)
       ref[i] = vmath::gelu_grad_scalar(xs[i], gs[i]);
   };
+  auto exp_vec = [&] { vmath::exp(xs, vec); };
+  auto exp_ref = [&] {
+    for (int64_t i = 0; i < n; ++i) ref[i] = vmath::exp_scalar(xs[i]);
+  };
   auto quant_vec = [&] { vmath::quantize(xs, qvec, scale, zp, -128, 127); };
   auto quant_ref = [&] {
     for (int64_t i = 0; i < n; ++i)
@@ -290,6 +294,11 @@ std::vector<ElementResult> run_element_kernels(double min_seconds,
   check_bit_exact<float>("gelu_grad", vec, ref);
   rows.push_back({"gelu_grad", time_ns_per_element(n, min_seconds, grad_vec),
                   time_ns_per_element(n, min_seconds, grad_ref)});
+  exp_vec();
+  exp_ref();
+  check_bit_exact<float>("exp", vec, ref);
+  rows.push_back({"exp", time_ns_per_element(n, min_seconds, exp_vec),
+                  time_ns_per_element(n, min_seconds, exp_ref)});
   quant_vec();
   quant_ref();
   check_bit_exact<int8_t>("quantize", qvec, qref);

@@ -1,11 +1,11 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "tensor/arena.h"
 #include "tensor/format.h"
+#include "tensor/vmath.h"
 
 namespace itask::core {
 
@@ -22,7 +22,7 @@ std::vector<std::vector<detect::Detection>> decode_and_match(
       if (use_rel_head) {
         const float rel_logit = output.relevance.at(
             {static_cast<int64_t>(bi), d.cell, 0});
-        const float rel = 1.0f / (1.0f + std::exp(-rel_logit));
+        const float rel = vmath::sigmoid_scalar(rel_logit);
         d.task_score = rel;
         if (rel < pipeline.relevance_threshold) continue;
         d.confidence = d.objectness * rel;

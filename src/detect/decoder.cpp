@@ -1,9 +1,10 @@
 #include "detect/decoder.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "data/dataset.h"
-#include "tensor/ops.h"
+#include "tensor/vmath.h"
 
 namespace itask::detect {
 
@@ -15,19 +16,21 @@ std::vector<std::vector<Detection>> decode(const vit::VitOutput& output,
   const int64_t t = obj.dim(1);
   ITASK_CHECK(t == options.grid * options.grid,
               "decode: grid does not match token count");
+  for (const Tensor* head : {&output.class_logits, &output.attr_logits})
+    ITASK_CHECK(head->ndim() == 3 && head->dim(0) == b && head->dim(1) == t,
+                "decode: head outputs disagree with objectness shape");
   const int64_t c = output.class_logits.dim(2);
   const int64_t a = output.attr_logits.dim(2);
   const float cell_px = static_cast<float>(options.image_size) /
                         static_cast<float>(options.grid);
 
-  Tensor class_probs = ops::softmax_lastdim(output.class_logits);
-  Tensor attr_probs = ops::sigmoid(output.attr_logits);
-
+  const float* class_logits = output.class_logits.data().data();
+  const float* attr_logits = output.attr_logits.data().data();
   std::vector<std::vector<Detection>> result(static_cast<size_t>(b));
   for (int64_t bi = 0; bi < b; ++bi) {
     for (int64_t cell = 0; cell < t; ++cell) {
       const float logit = obj.at({bi, cell, 0});
-      const float p_obj = 1.0f / (1.0f + std::exp(-logit));
+      const float p_obj = vmath::sigmoid_scalar(logit);
       // Written so a NaN p_obj is dropped too: a model fed huge finite
       // pixels can overflow to non-finite outputs.
       if (!(p_obj >= options.objectness_threshold)) continue;
@@ -43,14 +46,17 @@ std::vector<std::vector<Detection>> decode(const vit::VitOutput& output,
       d.objectness = p_obj;
       d.confidence = p_obj;  // pipeline refines with the task confidence
       d.box = data::decode_box(delta, cell, options.grid, cell_px);
+      // Class softmax and attribute sigmoids only for the cells kept.
+      const int64_t row = bi * t + cell;
       d.attr_probs = Tensor({a});
-      for (int64_t j = 0; j < a; ++j)
-        d.attr_probs[j] = attr_probs.at({bi, cell, j});
+      vmath::sigmoid({attr_logits + row * a, static_cast<size_t>(a)},
+                     d.attr_probs.data());
       d.class_probs = Tensor({c});
+      std::copy_n(class_logits + row * c, c, d.class_probs.data().data());
+      vmath::softmax(d.class_probs.data());
       float best = -1.0f;
       for (int64_t j = 0; j < c; ++j) {
-        const float p = class_probs.at({bi, cell, j});
-        d.class_probs[j] = p;
+        const float p = d.class_probs[j];
         if (p > best) {
           best = p;
           d.predicted_class = j;

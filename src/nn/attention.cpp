@@ -4,40 +4,42 @@
 
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "tensor/profile.h"
+#include "tensor/vmath.h"
 
 namespace itask::nn {
+
+namespace {
+
+/// dim / heads, checked before anything divides by heads.
+int64_t checked_head_dim(int64_t dim, int64_t heads) {
+  ITASK_CHECK(heads >= 1 && dim % heads == 0,
+              "MultiHeadAttention: heads must be >= 1 and divide dim");
+  return dim / heads;
+}
+
+}  // namespace
 
 MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t heads, Rng& rng)
     : dim_(dim),
       heads_(heads),
-      head_dim_(dim / heads),
-      scale_(1.0f / std::sqrt(static_cast<float>(dim / heads))),
+      head_dim_(checked_head_dim(dim, heads)),
+      scale_(1.0f / std::sqrt(static_cast<float>(head_dim_))),
       qkv_(dim, 3 * dim, rng),
       proj_(dim, dim, rng) {
-  ITASK_CHECK(dim % heads == 0, "MultiHeadAttention: dim % heads != 0");
   register_child("qkv", qkv_);
   register_child("proj", proj_);
 }
 
 Tensor MultiHeadAttention::attend(const Tensor& qkv, Tensor* keep_attn) const {
-  const int64_t b = qkv.dim(0), t = qkv.dim(1), hd = head_dim_;
-  const int64_t ld = 3 * dim_;  // qkv row stride
-  const float* src = qkv.data().data();
-  Tensor scores({b * heads_, t, t});
-  float* sd = scores.data().data();
-  for (int64_t bh = 0; bh < b * heads_; ++bh) {
-    const float* q = src + (bh / heads_) * t * ld + (bh % heads_) * hd;
-    gemm::gemm_bt(q, q + dim_, sd + bh * t * t, t, hd, t, ld, ld, t);
-  }
-  Tensor attn =
-      ops::softmax_lastdim(ops::mul_scalar(std::move(scores), scale_));
+  const int64_t b = qkv.dim(0), t = qkv.dim(1);
   Tensor ctx({b, t, dim_});
-  const float* ad = attn.data().data();
-  float* cd = ctx.data().data();
-  for (int64_t bh = 0; bh < b * heads_; ++bh) {
-    const int64_t bi = bh / heads_, col = (bh % heads_) * hd;
-    gemm::gemm_nn(ad + bh * t * t, src + bi * t * ld + 2 * dim_ + col,
-                  cd + bi * t * dim_ + col, t, t, hd, t, ld, dim_);
+  Tensor attn;
+  if (keep_attn != nullptr) attn = Tensor({b * heads_, t, t});
+  {
+    ITASK_PROFILE_SCOPE(profile::Section::kAttention);
+    vmath::attention(qkv.data(), b, t, heads_, head_dim_, scale_, ctx.data(),
+                     attn.data());
   }
   if (keep_attn != nullptr) *keep_attn = std::move(attn);
   return ctx;

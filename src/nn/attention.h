@@ -35,12 +35,11 @@ class MultiHeadAttention : public Module {
     Tensor qkv, attn;
   };
 
-  /// The one attention body forward() and infer() share: runs scaled-dot-
-  /// product attention per (image, head) straight out of qkv [B, T, 3D] —
-  /// head h of Q, K, V is the hd-wide column block at h·hd, D + h·hd and
-  /// 2D + h·hd, read through the GEMM leading dimension — and writes the
-  /// context into [B, T, D] at column h·hd. Moves the attention
-  /// probabilities into `keep_attn` when non-null.
+  /// The one attention body forward() and infer() share: one
+  /// vmath::attention tile per (image, head) reads Q, K and V straight out
+  /// of qkv [B, T, 3D] and writes the context [B, T, D]. Stores the
+  /// attention probabilities [B*H, T, T] into `keep_attn` when non-null;
+  /// otherwise they are never materialised.
   Tensor attend(const Tensor& qkv, Tensor* keep_attn) const;
 
   int64_t dim_;

@@ -1,5 +1,8 @@
 // Blocked, packed GEMM kernel layer — the single fp32 inner kernel every
-// matmul/bmm variant in ops.h routes through (DESIGN.md §2 row 13).
+// matmul/bmm variant in ops.h routes through (DESIGN.md §2 row 13), and
+// every Linear and attention backward. Attention's forward does not: its
+// per-(image, head) products are too small for a packed GEMM, so
+// vmath::attention computes them in one tile with the same arithmetic.
 //
 // Strategy (the classic three-loop blocking used by BLIS-family libraries):
 //  * k is split into KC slabs, n into NC slabs, m into MC slabs;
@@ -30,6 +33,11 @@ namespace itask::gemm {
 /// with -march=native.
 inline constexpr int64_t kMR = 8;
 inline constexpr int64_t kNR = 16;
+
+/// k-slab extent. A product with k > kKC sums each slab's FMA chain from +0
+/// in registers and adds it into C, so every element's chain restarts each
+/// kKC steps (vmath::attention mirrors that to stay bit-identical).
+inline constexpr int64_t kKC = 256;
 
 /// C[M,N] += A[M,K] · B[K,N] (all row-major).
 ///

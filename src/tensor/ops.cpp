@@ -159,7 +159,7 @@ Tensor gelu_grad(const Tensor& input, const Tensor& grad_out) {
 
 Tensor sigmoid(const Tensor& a) {
   Tensor out = a;
-  for (float& v : out.data()) v = 1.0f / (1.0f + std::exp(-v));
+  vmath::sigmoid(out.data(), out.data());
   return out;
 }
 
@@ -174,18 +174,9 @@ Tensor softmax_lastdim(Tensor a) {
   const int64_t c = a.dim(a.ndim() - 1);
   const int64_t rows = a.numel() / c;
   auto o = a.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    float* row = o.data() + r * c;
-    float mx = row[0];
-    for (int64_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
-    float denom = 0.0f;
-    for (int64_t j = 0; j < c; ++j) {
-      row[j] = std::exp(row[j] - mx);
-      denom += row[j];
-    }
-    const float inv = 1.0f / denom;
-    for (int64_t j = 0; j < c; ++j) row[j] *= inv;
-  }
+  for (int64_t r = 0; r < rows; ++r)
+    vmath::softmax(o.subspan(static_cast<size_t>(r * c),
+                             static_cast<size_t>(c)));
   return a;
 }
 
@@ -200,7 +191,7 @@ Tensor log_softmax_lastdim(const Tensor& a) {
     float mx = row[0];
     for (int64_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
     float denom = 0.0f;
-    for (int64_t j = 0; j < c; ++j) denom += std::exp(row[j] - mx);
+    for (int64_t j = 0; j < c; ++j) denom += vmath::exp_scalar(row[j] - mx);
     const float lse = mx + std::log(denom);
     for (int64_t j = 0; j < c; ++j) row[j] -= lse;
   }

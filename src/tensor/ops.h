@@ -47,12 +47,13 @@ Tensor transpose2d(const Tensor& a);
 
 Tensor gelu(const Tensor& a);        // tanh approximation
 Tensor gelu_grad(const Tensor& input, const Tensor& grad_out);
-Tensor sigmoid(const Tensor& a);
+Tensor sigmoid(const Tensor& a);  // vmath::sigmoid
 Tensor tanh_t(const Tensor& a);
 
 // ---- softmax family (over the trailing axis) ------------------------------
 
-/// Takes `a` by value so a moved-in tensor is normalised in place.
+/// vmath::softmax on every row. Takes `a` by value so a moved-in tensor is
+/// normalised in place.
 Tensor softmax_lastdim(Tensor a);
 Tensor log_softmax_lastdim(const Tensor& a);
 

@@ -18,6 +18,7 @@ const char* section_name(Section s) {
     case Section::kInt8Kernel: return "int8_kernel";
     case Section::kInt8Quantize: return "int8_quantize";
     case Section::kInt8Dequant: return "int8_dequant";
+    case Section::kAttention: return "attention";
     case Section::kCount: break;
   }
   return "?";

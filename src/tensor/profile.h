@@ -1,9 +1,10 @@
-// Near-zero-cost kernel profiling hooks for the hot GEMM paths.
+// Near-zero-cost kernel profiling hooks for the hot GEMM paths and the
+// attention tile.
 //
 // A ScopedTimer placed around a kernel section costs one relaxed atomic load
 // (and a predictable branch) while profiling is disabled — cheap enough to
-// live permanently in tensor/gemm.cpp and quant/int8_gemm.cpp without
-// perturbing bench_k0 numbers. When enabled at runtime
+// live permanently in tensor/gemm.cpp, quant/int8_gemm.cpp and
+// nn/attention.cpp without perturbing bench_k0 numbers. When enabled at runtime
 // (profile::set_enabled(true)), each section accumulates call count and
 // wall nanoseconds into lock-free per-section atomics, so concurrent
 // inference workers (src/runtime) record without contention or races.
@@ -12,7 +13,8 @@
 // allocation on the hot path, and snapshot() is a handful of relaxed loads.
 // The snapshot feeds the same exposition formats as the serving metrics
 // (runtime/exposition), which is how bench_k0/bench_f6 attribute wall time
-// to pack vs micro-kernel vs quantize/dequantize.
+// to pack vs micro-kernel vs quantize/dequantize vs attention. No section
+// nests inside another, so their sum is the attributed share of a run.
 #pragma once
 
 #include <atomic>
@@ -29,6 +31,7 @@ enum class Section : int {
   kInt8Kernel,     // int8 micro-kernel loop nest incl. writeback/correction
   kInt8Quantize,   // fp32→int8 activation quantization (qlinear_forward)
   kInt8Dequant,    // int32→fp32 dequant + bias epilogue (qlinear_forward)
+  kAttention,      // attention tiles: scores, softmax, context (vmath)
   kCount
 };
 

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstddef>
 
+#include "tensor/arena.h"
+#include "tensor/gemm.h"
 #include "tensor/shape.h"
 
 #if defined(__AVX512F__)
@@ -115,6 +117,52 @@ float tanh_scalar(float x) {
 
 float gelu_inner(float v) {
   return std::fma(kGeluA * v * v, v, v) * kGeluC;
+}
+
+// glibc 2.36 expf (sysdeps/ieee754/flt-32/e_expf.c, e_exp2f_data.c):
+// exp(x) = 2^(k/32) · 2^(r/32) with k = round(x·32/ln2), 2^(k/32) from
+// kExp2Tab and 2^(r/32) from a cubic in double precision.
+// kExp2Tab[i] = bits(2^(i/32)) − (i << 47): adding k << 47 to entry k % 32
+// gives the bits of 2^(k/32).
+constexpr uint64_t kExp2Tab[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540};
+constexpr double kInvLn2N = 0x1.71547652b82fep+0 * 32;
+constexpr double kShift = 0x1.8p+52;  // rounds x·32/ln2 to an integer
+constexpr double kExpC0 = 0x1.c6af84b912394p-5 / 32 / 32 / 32;
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-3 / 32 / 32;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-1 / 32;
+constexpr uint32_t kExpBig = 0x42b00000u;           // |x| >= 88, or NaN
+constexpr float kExpOverflow = 0x1.62e42ep6f;       // log(0x1p128)
+constexpr float kExpUnderflow = -0x1.9fe368p6f;     // log(0x1p-150)
+constexpr float kExpMayUnderflow = -0x1.9d1d9ep6f;  // log(0x1p-149)
+// __math_may_uflowf's result: the smallest denormal.
+constexpr float kExpTiny = 0x1.4p-75f * 0x1.4p-75f;
+static_assert(std::bit_cast<uint32_t>(kExpTiny) == 0x00000001u);
+
+/// expf's main path, for |x| < 88 and the finite tails the special cases
+/// let through.
+float exp_core(float x) {
+  const double xd = x;
+  double kd = std::fma(kInvLn2N, xd, kShift);
+  const uint64_t ki = std::bit_cast<uint64_t>(kd);
+  kd -= kShift;
+  const double r = std::fma(kInvLn2N, xd, -kd);
+  const double s = std::bit_cast<double>(kExp2Tab[ki % 32] + (ki << 47));
+  const double z = std::fma(kExpC0, r, kExpC1);
+  const double r2 = r * r;
+  double y = std::fma(kExpC2, r, 1.0);
+  y = std::fma(z, r2, y);
+  return static_cast<float>(y * s);
 }
 
 #if defined(__AVX512F__)
@@ -247,6 +295,67 @@ __m512 gelu_grad_lanes(__m512 x, __m512 g) {
                             dgelu);
 }
 
+/// exp_core on 8 lanes, in double.
+__m512d exp_core_lanes(__m512d xd) {
+  const __m512i tab0 = _mm512_loadu_si512(kExp2Tab);
+  const __m512i tab1 = _mm512_loadu_si512(kExp2Tab + 8);
+  const __m512i tab2 = _mm512_loadu_si512(kExp2Tab + 16);
+  const __m512i tab3 = _mm512_loadu_si512(kExp2Tab + 24);
+  const __m512d inv_ln2n = _mm512_set1_pd(kInvLn2N);
+  const __m512d shift = _mm512_set1_pd(kShift);
+  const __m512d kd_shifted = _mm512_fmadd_pd(inv_ln2n, xd, shift);
+  const __m512i ki = _mm512_castpd_si512(kd_shifted);
+  const __m512d kd = _mm512_sub_pd(kd_shifted, shift);
+  const __m512d r = _mm512_fmsub_pd(inv_ln2n, xd, kd);
+  const __m512i idx = _mm512_and_si512(ki, _mm512_set1_epi64(31));
+  __m512i t = _mm512_permutex2var_epi64(tab0, idx, tab1);
+  t = _mm512_mask_mov_epi64(
+      t, _mm512_test_epi64_mask(idx, _mm512_set1_epi64(16)),
+      _mm512_permutex2var_epi64(tab2, idx, tab3));
+  const __m512d s = _mm512_castsi512_pd(
+      _mm512_add_epi64(t, _mm512_slli_epi64(ki, 47)));
+  const __m512d z =
+      _mm512_fmadd_pd(_mm512_set1_pd(kExpC0), r, _mm512_set1_pd(kExpC1));
+  const __m512d r2 = _mm512_mul_pd(r, r);
+  __m512d y =
+      _mm512_fmadd_pd(_mm512_set1_pd(kExpC2), r, _mm512_set1_pd(1.0));
+  y = _mm512_fmadd_pd(z, r2, y);
+  return _mm512_mul_pd(y, s);
+}
+
+/// exp_scalar on 16 lanes: the main path in two double halves, then the
+/// special cases blended by mask.
+__m512 exp_lanes(__m512 x) {
+  const __m256 lo = _mm512_castps512_ps256(x);
+  const __m256 hi = _mm256_castpd_ps(_mm512_extractf64x4_pd(
+      _mm512_castps_pd(x), 1));
+  const __m256 ylo = _mm512_cvtpd_ps(exp_core_lanes(_mm512_cvtps_pd(lo)));
+  const __m256 yhi = _mm512_cvtpd_ps(exp_core_lanes(_mm512_cvtps_pd(hi)));
+  __m512 y = _mm512_castpd_ps(_mm512_insertf64x4(
+      _mm512_castps_pd(_mm512_castps256_ps512(ylo)), _mm256_castps_pd(yhi),
+      1));
+  const __m512i ax = _mm512_and_si512(as_int(x), splat_i(0x7fffffff));
+  if (_mm512_cmpge_epi32_mask(ax, splat_i(static_cast<int32_t>(kExpBig))) ==
+      0)
+    return y;
+  y = _mm512_mask_mov_ps(
+      y, _mm512_cmp_ps_mask(x, splat(kExpMayUnderflow), _CMP_LT_OQ),
+      splat(kExpTiny));
+  y = _mm512_mask_mov_ps(
+      y, _mm512_cmp_ps_mask(x, splat(kExpUnderflow), _CMP_LT_OQ),
+      _mm512_setzero_ps());
+  y = _mm512_mask_mov_ps(
+      y, _mm512_cmp_ps_mask(x, splat(kExpOverflow), _CMP_GT_OQ),
+      splat(INFINITY));
+  // NaN and +inf give x + x; −inf (an ordered x < kExpUnderflow) gives +0.
+  return _mm512_mask_add_ps(
+      y,
+      _mm512_cmpge_epi32_mask(ax, splat_i(0x7f800000)) &
+          ~_mm512_cmpeq_epi32_mask(as_int(x),
+                                   splat_i(static_cast<int32_t>(0xff800000u))),
+      x, x);
+}
+
 /// quantize_scalar on 16 lanes; lo/hi are the grid bounds minus the zero
 /// point, as floats.
 __m512i quantize_lanes(__m512 x, __m512 scale, __m512 lo, __m512 hi,
@@ -261,6 +370,111 @@ __m512i quantize_lanes(__m512 x, __m512 scale, __m512 lo, __m512 hi,
   r = _mm512_mask_add_ps(r, away, r, step);
   r = _mm512_min_ps(_mm512_max_ps(r, lo), hi);
   return _mm512_add_epi32(_mm512_cvttps_epi32(r), zero_point);
+}
+
+/// R FMA chains side by side, summed as the GEMM micro-kernel sums its
+/// accumulators: each chain runs from +0 and restarts every gemm::kKC
+/// steps, and each slab's chain is added to a total that starts at +0.
+/// step(p, acc) advances all R chains by step p.
+template <int R, typename Step>
+void slabbed_chains(int64_t n, __m512 (&sum)[R], Step step) {
+  for (int r = 0; r < R; ++r) sum[r] = _mm512_setzero_ps();
+  for (int64_t p0 = 0; p0 < n; p0 += gemm::kKC) {
+    __m512 acc[R];
+    for (int r = 0; r < R; ++r) acc[r] = _mm512_setzero_ps();
+    const int64_t p1 = std::min(n, p0 + gemm::kKC);
+    for (int64_t p = p0; p < p1; ++p) step(p, acc);
+    for (int r = 0; r < R; ++r) sum[r] = _mm512_add_ps(sum[r], acc[r]);
+  }
+}
+
+/// Keys whose score chains run side by side.
+constexpr int kTileKeys = 8;
+
+/// Attention rows [i0, i0 + m), m <= 16, of one (image, head), one row per
+/// lane. q, k and v point at the head's column block in its image's first
+/// qkv row (row stride ld); ctx at the head's column block in its image's
+/// first context row (row stride ldc); probs, when non-null, at the head's
+/// [t, t] probabilities. work holds 16·(hd + t) floats.
+void attention_rows(const float* q, const float* k, const float* v,
+                    int64_t ld, int64_t t, int64_t hd, float scale,
+                    int64_t i0, int64_t m, float* ctx, int64_t ldc,
+                    float* probs, float* work) {
+  float* qt = work;            // qt[p·16 + i] = Q(i0 + i, p)
+  float* sc = work + 16 * hd;  // sc[j·16 + i]: score, then e, then prob
+  const __m512i row_offsets = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      splat_i(static_cast<int32_t>(ld)));
+  const __mmask16 rows = tail_mask(static_cast<size_t>(m));
+  for (int64_t p = 0; p < hd; ++p)
+    _mm512_storeu_ps(qt + p * 16, _mm512_mask_i32gather_ps(
+                                      _mm512_setzero_ps(), rows, row_offsets,
+                                      q + i0 * ld + p, 4));
+  __m512 mx = _mm512_setzero_ps();
+  for (int64_t j0 = 0; j0 < t; j0 += kTileKeys) {
+    const float* kr[kTileKeys];
+    for (int u = 0; u < kTileKeys; ++u)
+      kr[u] = k + std::min<int64_t>(j0 + u, t - 1) * ld;
+    __m512 s[kTileKeys];
+    slabbed_chains(hd, s, [&](int64_t p, __m512(&acc)[kTileKeys]) {
+      const __m512 qp = _mm512_loadu_ps(qt + p * 16);
+      for (int u = 0; u < kTileKeys; ++u)
+        acc[u] = _mm512_fmadd_ps(qp, splat(kr[u][p]), acc[u]);
+    });
+    for (int64_t u = 0; u < kTileKeys && j0 + u < t; ++u) {
+      const int64_t j = j0 + u;
+      const __m512 sj = _mm512_mul_ps(s[u], splat(scale));
+      _mm512_storeu_ps(sc + j * 16, sj);
+      // std::max(mx, s) is mx < s ? s : mx; vmaxps differs on NaN.
+      mx = j == 0 ? sj
+                  : _mm512_mask_mov_ps(
+                        mx, _mm512_cmp_ps_mask(mx, sj, _CMP_LT_OQ), sj);
+    }
+  }
+  __m512 denom = _mm512_setzero_ps();
+  for (int64_t j = 0; j < t; ++j) {
+    const __m512 e =
+        exp_lanes(_mm512_sub_ps(_mm512_loadu_ps(sc + j * 16), mx));
+    _mm512_storeu_ps(sc + j * 16, e);
+    denom = _mm512_add_ps(denom, e);
+  }
+  const __m512 inv = _mm512_div_ps(splat(1.0f), denom);
+  for (int64_t j = 0; j < t; ++j)
+    _mm512_storeu_ps(sc + j * 16,
+                     _mm512_mul_ps(_mm512_loadu_ps(sc + j * 16), inv));
+  if (probs != nullptr)
+    for (int64_t i = 0; i < m; ++i)
+      for (int64_t j = 0; j < t; ++j)
+        probs[(i0 + i) * t + j] = sc[j * 16 + i];
+  // Context: all 16 rows' chains side by side, one 16-column block at a
+  // time; lanes past m compute on stale rows and are not stored.
+  for (int64_t c = 0; c < hd; c += 16) {
+    const __mmask16 cols =
+        tail_mask(static_cast<size_t>(std::min<int64_t>(16, hd - c)));
+    __m512 out[16];
+    slabbed_chains(t, out, [&](int64_t j, __m512(&acc)[16]) {
+      const __m512 vj = _mm512_maskz_loadu_ps(cols, v + j * ld + c);
+      for (int i = 0; i < 16; ++i)
+        acc[i] = _mm512_fmadd_ps(splat(sc[j * 16 + i]), vj, acc[i]);
+    });
+    for (int64_t i = 0; i < m; ++i)
+      _mm512_mask_storeu_ps(ctx + (i0 + i) * ldc + c, cols, out[i]);
+  }
+}
+
+#else  // !__AVX512F__
+
+/// One chain of the AVX-512 slabbed_chains, in scalar code.
+template <typename Step>
+float slabbed_chain(int64_t n, Step step) {
+  float sum = 0.0f;
+  for (int64_t p0 = 0; p0 < n; p0 += gemm::kKC) {
+    const int64_t p1 = std::min(n, p0 + gemm::kKC);
+    float acc = 0.0f;
+    for (int64_t p = p0; p < p1; ++p) acc = step(p, acc);
+    sum += acc;
+  }
+  return sum;
 }
 
 #endif  // __AVX512F__
@@ -294,6 +508,20 @@ int8_t quantize_scalar(float x, float scale, int32_t zero_point, int32_t qmin,
                  static_cast<float>(qmax - zero_point));
   return static_cast<int8_t>(static_cast<int32_t>(r) + zero_point);
 }
+
+float exp_scalar(float x) {
+  const uint32_t ax = bits_of(x) & 0x7fffffffu;
+  if (ax >= kExpBig) {
+    if (bits_of(x) == 0xff800000u) return 0.0f;  // −inf
+    if (ax >= 0x7f800000u) return x + x;          // NaN, +inf
+    if (x > kExpOverflow) return INFINITY;
+    if (x < kExpUnderflow) return 0.0f;
+    if (x < kExpMayUnderflow) return kExpTiny;
+  }
+  return exp_core(x);
+}
+
+float sigmoid_scalar(float x) { return 1.0f / (1.0f + exp_scalar(-x)); }
 
 void gelu(std::span<const float> x, std::span<float> y) {
   ITASK_CHECK(x.size() == y.size(), "vmath::gelu: size mismatch");
@@ -357,6 +585,118 @@ void quantize(std::span<const float> x, std::span<int8_t> q, float scale,
 #endif
   for (; i < n; ++i)
     q[i] = quantize_scalar(x[i], scale, zero_point, qmin, qmax);
+}
+
+void exp(std::span<const float> x, std::span<float> y) {
+  ITASK_CHECK(x.size() == y.size(), "vmath::exp: size mismatch");
+  const size_t n = x.size();
+  size_t i = 0;
+#if defined(__AVX512F__)
+  for (; i + 16 <= n; i += 16)
+    _mm512_storeu_ps(&y[i], exp_lanes(_mm512_loadu_ps(&x[i])));
+  if (i < n) {
+    const __mmask16 m = tail_mask(n - i);
+    _mm512_mask_storeu_ps(&y[i], m,
+                          exp_lanes(_mm512_maskz_loadu_ps(m, &x[i])));
+    i = n;
+  }
+#endif
+  for (; i < n; ++i) y[i] = exp_scalar(x[i]);
+}
+
+void sigmoid(std::span<const float> x, std::span<float> y) {
+  ITASK_CHECK(x.size() == y.size(), "vmath::sigmoid: size mismatch");
+  const size_t n = x.size();
+  size_t i = 0;
+#if defined(__AVX512F__)
+  const auto lanes = [](__m512 v) {
+    const __m512 e =
+        exp_lanes(as_float(_mm512_xor_si512(as_int(v), sign_bit())));  // −v
+    return _mm512_div_ps(splat(1.0f), _mm512_add_ps(splat(1.0f), e));
+  };
+  for (; i + 16 <= n; i += 16)
+    _mm512_storeu_ps(&y[i], lanes(_mm512_loadu_ps(&x[i])));
+  if (i < n) {
+    const __mmask16 m = tail_mask(n - i);
+    _mm512_mask_storeu_ps(&y[i], m, lanes(_mm512_maskz_loadu_ps(m, &x[i])));
+    i = n;
+  }
+#endif
+  for (; i < n; ++i) y[i] = sigmoid_scalar(x[i]);
+}
+
+void softmax(std::span<float> row) {
+  const size_t n = row.size();
+  if (n == 0) return;
+  float mx = row[0];
+  for (size_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
+  size_t j = 0;
+#if defined(__AVX512F__)
+  const __m512 vmx = splat(mx);
+  for (; j + 16 <= n; j += 16)
+    _mm512_storeu_ps(&row[j],
+                     exp_lanes(_mm512_sub_ps(_mm512_loadu_ps(&row[j]), vmx)));
+  if (j < n) {
+    const __mmask16 m = tail_mask(n - j);
+    _mm512_mask_storeu_ps(
+        &row[j], m,
+        exp_lanes(_mm512_sub_ps(_mm512_maskz_loadu_ps(m, &row[j]), vmx)));
+    j = n;
+  }
+#endif
+  for (; j < n; ++j) row[j] = exp_scalar(row[j] - mx);
+  float denom = 0.0f;
+  for (const float e : row) denom += e;
+  const float inv = 1.0f / denom;
+  for (float& e : row) e *= inv;
+}
+
+void attention(std::span<const float> qkv, int64_t b, int64_t t,
+               int64_t heads, int64_t hd, float scale, std::span<float> ctx,
+               std::span<float> probs) {
+  const int64_t dim = heads * hd;
+  const int64_t ld = 3 * dim;  // qkv row stride
+  ITASK_CHECK(static_cast<int64_t>(qkv.size()) == b * t * ld &&
+                  static_cast<int64_t>(ctx.size()) == b * t * dim &&
+                  (probs.empty() ||
+                   static_cast<int64_t>(probs.size()) == b * heads * t * t),
+              "vmath::attention: size mismatch");
+#if defined(__AVX512F__)
+  ScratchVec<float> work(16 * (hd + t));
+#else
+  ScratchVec<float> work(t);
+#endif
+  for (int64_t bh = 0; bh < b * heads; ++bh) {
+    const int64_t bi = bh / heads, col = (bh % heads) * hd;
+    const float* q = qkv.data() + bi * t * ld + col;
+    const float* k = q + dim;
+    const float* v = q + 2 * dim;
+    float* out = ctx.data() + bi * t * dim + col;
+    float* p = probs.empty() ? nullptr : probs.data() + bh * t * t;
+#if defined(__AVX512F__)
+    for (int64_t i0 = 0; i0 < t; i0 += 16)
+      attention_rows(q, k, v, ld, t, hd, scale, i0,
+                     std::min<int64_t>(16, t - i0), out, dim, p, work.data());
+#else
+    float* row = work.data();
+    for (int64_t i = 0; i < t; ++i) {
+      const float* qi = q + i * ld;
+      for (int64_t j = 0; j < t; ++j) {
+        const float* kj = k + j * ld;
+        row[j] = slabbed_chain(hd, [&](int64_t c, float acc) {
+                   return std::fma(qi[c], kj[c], acc);
+                 }) *
+                 scale;
+      }
+      softmax(std::span(row, static_cast<size_t>(t)));
+      if (p != nullptr) std::copy(row, row + t, p + i * t);
+      for (int64_t c = 0; c < hd; ++c)
+        out[i * dim + c] = slabbed_chain(t, [&](int64_t j, float acc) {
+          return std::fma(row[j], v[j * ld + c], acc);
+        });
+    }
+#endif
+  }
 }
 
 }  // namespace itask::vmath

@@ -33,6 +33,8 @@ double InferenceWorkload::total_vector_flops() const {
 InferenceWorkload build_workload(const ViTConfig& c, int64_t batch,
                                  const std::string& model_name) {
   ITASK_CHECK(batch >= 1, "build_workload: batch must be >= 1");
+  ITASK_CHECK(c.heads >= 1 && c.dim % c.heads == 0,
+              "build_workload: heads must be >= 1 and divide dim");
   InferenceWorkload w;
   w.model_name = model_name;
   w.batch = batch;

@@ -1,6 +1,7 @@
 // Attention, transformer, patch embedding, and full-model gradient checks.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -15,6 +16,7 @@
 #include "nn/transformer.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "tensor/vmath.h"
 #include "vit/model.h"
 #include "vit/workload.h"
 
@@ -24,6 +26,18 @@ namespace {
 TEST(Heads, IndivisibleThrows) {
   Rng rng(1);
   EXPECT_THROW(nn::MultiHeadAttention(5, 2, rng), std::invalid_argument);
+}
+
+TEST(Heads, ZeroOrNegativeHeadsThrow) {
+  // heads is checked before anything divides by it: a typed error, not
+  // SIGFPE.
+  Rng rng(1);
+  EXPECT_THROW(nn::MultiHeadAttention(8, 0, rng), std::invalid_argument);
+  EXPECT_THROW(nn::MultiHeadAttention(8, -2, rng), std::invalid_argument);
+  vit::ViTConfig config = vit::ViTConfig::student();
+  config.heads = 0;
+  EXPECT_THROW(vit::VitModel(config, rng), std::invalid_argument);
+  EXPECT_THROW(vit::build_workload(config, 1), std::invalid_argument);
 }
 
 // ---- copy-based reference ---------------------------------------------------
@@ -165,6 +179,23 @@ TEST_P(AttentionInPlace, BitIdenticalToCopyingReference) {
   const Tensor x = rng.randn({b, t, d});
   const Tensor grad_out = rng.randn({b, t, d});
 
+  // Score rows holding ±inf, huge finite values and NaN. In the last image
+  // token t/2 is scaled so its products overflow (±inf scores) and token 0
+  // by 1e17 (huge finite scores; exp underflows to 0). Image 0 gets a NaN
+  // feature, which reaches every score row of that image through K.
+  Tensor specials = x;
+  float* last = specials.data().data() + (b - 1) * t * d;
+  for (int64_t j = 0; j < d; ++j) last[(t / 2) * d + j] *= 1e30f;
+  for (int64_t j = 0; j < d; ++j) last[j] *= 1e17f;
+  specials[1] = NAN;
+  const Tensor want_specials = ref.forward(specials);
+  EXPECT_TRUE(bit_identical(layer.forward(specials), want_specials))
+      << "forward, specials";
+  EXPECT_TRUE(bit_identical(layer.infer(specials), want_specials))
+      << "infer, specials";
+  EXPECT_TRUE(bit_identical(layer.last_attention(), ref.attn))
+      << "attn, specials";
+
   const Tensor want = ref.forward(x);
   EXPECT_TRUE(bit_identical(layer.forward(x), want)) << "forward";
   EXPECT_TRUE(bit_identical(layer.infer(x), want)) << "infer";
@@ -189,13 +220,116 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(32, 10, 40, 4),
                       std::make_tuple(8, 10, 64, 4),
                       std::make_tuple(3, 37, 48, 6),
-                      std::make_tuple(2, 5, 8, 1)),
+                      std::make_tuple(2, 5, 8, 1),
+                      // T = 1; hd = 48 spans several 16-lane column blocks.
+                      std::make_tuple(4, 1, 40, 4),
+                      std::make_tuple(2, 3, 96, 2),
+                      // hd and T past gemm::kKC: the FMA chains restart.
+                      std::make_tuple(1, 3, 520, 2),
+                      std::make_tuple(1, 260, 8, 1)),
     [](const auto& info) {
       return "b" + std::to_string(std::get<0>(info.param)) + "t" +
              std::to_string(std::get<1>(info.param)) + "d" +
              std::to_string(std::get<2>(info.param)) + "h" +
              std::to_string(std::get<3>(info.param));
     });
+
+/// The per-(image, head) composition attention ran before its tile:
+/// strided gemm_bt, × scale, softmax over the [B*H, T, T] scores, strided
+/// gemm_nn into the context.
+void composed_attention(const Tensor& qkv, int64_t heads, float scale,
+                        Tensor& ctx, Tensor& probs) {
+  const int64_t b = qkv.dim(0), t = qkv.dim(1), ld = qkv.dim(2);
+  const int64_t dim = ld / 3, hd = dim / heads;
+  const float* src = qkv.data().data();
+  Tensor scores({b * heads, t, t});
+  for (int64_t bh = 0; bh < b * heads; ++bh) {
+    const float* q = src + (bh / heads) * t * ld + (bh % heads) * hd;
+    gemm::gemm_bt(q, q + dim, scores.data().data() + bh * t * t, t, hd, t,
+                  ld, ld, t);
+  }
+  probs = ops::softmax_lastdim(ops::mul_scalar(std::move(scores), scale));
+  ctx = Tensor({b, t, dim});
+  for (int64_t bh = 0; bh < b * heads; ++bh) {
+    const int64_t bi = bh / heads, col = (bh % heads) * hd;
+    gemm::gemm_nn(probs.data().data() + bh * t * t,
+                  src + bi * t * ld + 2 * dim + col,
+                  ctx.data().data() + bi * t * dim + col, t, t, hd, t, ld,
+                  dim);
+  }
+}
+
+/// Bit-identical, except that any NaN matches any NaN: which payload an
+/// FMA or add returns when two operands are different NaNs depends on the
+/// instruction form the compiler picks, on either side.
+::testing::AssertionResult identical_up_to_nan_payload(const Tensor& got,
+                                                       const Tensor& want) {
+  if (got.shape() != want.shape())
+    return ::testing::AssertionFailure() << "shapes differ";
+  for (int64_t i = 0; i < got.numel(); ++i)
+    if (std::isnan(got[i]) != std::isnan(want[i]) ||
+        (!std::isnan(got[i]) &&
+         std::bit_cast<uint32_t>(got[i]) != std::bit_cast<uint32_t>(want[i])))
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " vs " << want[i];
+  return ::testing::AssertionSuccess();
+}
+
+/// vmath::attention against composed_attention, on probabilities and
+/// context. `nan_payloads` demands equal NaN bits too.
+::testing::AssertionResult tile_matches_composition(const Tensor& qkv,
+                                                    int64_t heads,
+                                                    bool nan_payloads) {
+  const int64_t b = qkv.dim(0), t = qkv.dim(1), dim = qkv.dim(2) / 3;
+  const float scale = 0.37f;
+  Tensor want_ctx, want_probs;
+  composed_attention(qkv, heads, scale, want_ctx, want_probs);
+  Tensor ctx({b, t, dim});
+  Tensor probs({b * heads, t, t});
+  vmath::attention(qkv.data(), b, t, heads, dim / heads, scale, ctx.data(),
+                   probs.data());
+  const auto same = nan_payloads ? bit_identical : identical_up_to_nan_payload;
+  auto result = same(probs, want_probs);
+  if (!result) return result << " (probs)";
+  return same(ctx, want_ctx) << " (ctx)";
+}
+
+TEST(AttentionTile, NaNPayloadsInfinitiesAndZerosMatchComposition) {
+  // hd = 1 and q = ±1 make each score a chosen key value: score rows with
+  // a NaN payload, ±inf, ±0 and 3e38. Every row holds one kind of NaN at
+  // most, so which NaN an operation returns is determined and its bits
+  // are compared.
+  const float keys[] = {std::bit_cast<float>(0x7fc00001u), 2.0f, 7.0f,
+                        -0.0f, INFINITY, 0.0f, -INFINITY, 3e38f, -1.5f};
+  const int64_t t = 9;
+  Tensor qkv({1, t, 3});
+  for (int64_t i = 0; i < t; ++i) {
+    qkv[i * 3] = i % 2 == 0 ? 1.0f : -1.0f;  // q
+    qkv[i * 3 + 1] = keys[i];                 // k
+    qkv[i * 3 + 2] = static_cast<float>(i) - 3.5f;  // v
+  }
+  EXPECT_TRUE(tile_matches_composition(qkv, 1, true));
+  // Without the NaN key: finite, infinite and zero scores only.
+  qkv[1] = 1.0f;
+  EXPECT_TRUE(tile_matches_composition(qkv, 1, true));
+}
+
+TEST(AttentionTile, RandomSpecialsMatchComposition) {
+  // Random Q, K, V with one entry in ten replaced by NaN, ±inf, ±0 or a
+  // huge value, over row counts on both sides of the 16-lane tile. Chains
+  // here can meet two different NaNs, so only NaN-ness is compared there.
+  const float specials[] = {NAN, -NAN, INFINITY, -INFINITY, 0.0f, -0.0f,
+                            3e38f, -3e38f, 1e-40f};
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const int64_t b = 2, t = 5 + 3 * static_cast<int64_t>(seed), heads = 2;
+    Tensor qkv = rng.randn({b, t, 3 * heads * 3});
+    for (float& v : qkv.data())
+      if (rng.bernoulli(0.1)) v = specials[rng.randint(0, 8)];
+    EXPECT_TRUE(tile_matches_composition(qkv, heads, false))
+        << "seed " << seed;
+  }
+}
 
 TEST(Attention, OutputShapeAndGradCheck) {
   Rng rng(2);

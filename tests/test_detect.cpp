@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "detect/decoder.h"
 #include "detect/metrics.h"
 #include "detect/nms.h"
+#include "data/dataset.h"
+#include "tensor/ops.h"
 #include "tensor/rng.h"
 
 namespace itask::detect {
@@ -339,6 +342,110 @@ TEST(Decoder, GridMismatchThrows) {
   options.grid = 4;  // 16 ≠ 9
   options.image_size = 24;
   EXPECT_THROW(decode(out, options), std::invalid_argument);
+}
+
+/// The eager decode: softmax and sigmoid over every cell first, then the
+/// same per-cell gating as decode().
+std::vector<std::vector<Detection>> eager_decode(const vit::VitOutput& out,
+                                                 const DecoderOptions& opt) {
+  const int64_t b = out.objectness.dim(0), t = out.objectness.dim(1);
+  const int64_t c = out.class_logits.dim(2), a = out.attr_logits.dim(2);
+  const float cell_px =
+      static_cast<float>(opt.image_size) / static_cast<float>(opt.grid);
+  const Tensor class_probs = ops::softmax_lastdim(out.class_logits);
+  const Tensor attr_probs = ops::sigmoid(out.attr_logits);
+  const Tensor obj_probs = ops::sigmoid(out.objectness);
+  std::vector<std::vector<Detection>> result(static_cast<size_t>(b));
+  for (int64_t bi = 0; bi < b; ++bi)
+    for (int64_t cell = 0; cell < t; ++cell) {
+      const float p_obj = obj_probs.at({bi, cell, 0});
+      if (!(p_obj >= opt.objectness_threshold)) continue;
+      float delta[4];
+      bool finite = true;
+      for (int64_t j = 0; j < 4; ++j) {
+        delta[j] = out.box_deltas.at({bi, cell, j});
+        finite = finite && std::isfinite(delta[j]);
+      }
+      if (!finite) continue;
+      Detection d;
+      d.cell = cell;
+      d.objectness = d.confidence = p_obj;
+      d.box = data::decode_box(delta, cell, opt.grid, cell_px);
+      d.attr_probs = Tensor({a});
+      for (int64_t j = 0; j < a; ++j)
+        d.attr_probs[j] = attr_probs.at({bi, cell, j});
+      d.class_probs = Tensor({c});
+      float best = -1.0f;
+      for (int64_t j = 0; j < c; ++j) {
+        d.class_probs[j] = class_probs.at({bi, cell, j});
+        if (d.class_probs[j] > best) {
+          best = d.class_probs[j];
+          d.predicted_class = j;
+        }
+      }
+      result[static_cast<size_t>(bi)].push_back(std::move(d));
+    }
+  return result;
+}
+
+bool same_bits(float x, float y) {
+  return std::memcmp(&x, &y, sizeof(float)) == 0;
+}
+
+bool same_bits(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.data().data(), y.data().data(),
+                     static_cast<size_t>(x.numel()) * sizeof(float)) == 0;
+}
+
+TEST(Decoder, PerKeptCellMatchesEagerDecode) {
+  // Random head outputs salted with NaN, ±inf and ±3e38: decoding only the
+  // kept cells gives the same detections, bit for bit, as the eager decode.
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), 3e38f,
+                            -3e38f};
+  DecoderOptions options;
+  options.grid = 3;
+  options.image_size = 24;
+  int64_t kept = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    vit::VitOutput out;
+    out.objectness = rng.randn({3, 9, 1}, 0.0f, 3.0f);
+    out.class_logits = rng.randn({3, 9, 13}, 0.0f, 4.0f);
+    out.attr_logits = rng.randn({3, 9, 16}, 0.0f, 4.0f);
+    out.box_deltas = rng.randn({3, 9, 4});
+    for (Tensor* head : {&out.objectness, &out.class_logits,
+                         &out.attr_logits, &out.box_deltas})
+      for (float& v : head->data())
+        if (rng.bernoulli(0.08))
+          v = specials[static_cast<size_t>(rng.randint(0, 4))];
+    const auto got = decode(out, options);
+    const auto want = eager_decode(out, options);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t bi = 0; bi < got.size(); ++bi) {
+      ASSERT_EQ(got[bi].size(), want[bi].size()) << "seed " << seed;
+      for (size_t i = 0; i < got[bi].size(); ++i) {
+        const Detection& g = got[bi][i];
+        const Detection& w = want[bi][i];
+        EXPECT_EQ(g.cell, w.cell);
+        EXPECT_EQ(g.predicted_class, w.predicted_class);
+        EXPECT_TRUE(same_bits(g.objectness, w.objectness));
+        EXPECT_TRUE(same_bits(g.confidence, w.confidence));
+        EXPECT_TRUE(same_bits(g.box.cx, w.box.cx) &&
+                    same_bits(g.box.cy, w.box.cy) &&
+                    same_bits(g.box.w, w.box.w) &&
+                    same_bits(g.box.h, w.box.h));
+        EXPECT_TRUE(same_bits(g.attr_probs, w.attr_probs))
+            << "seed " << seed << " cell " << g.cell;
+        EXPECT_TRUE(same_bits(g.class_probs, w.class_probs))
+            << "seed " << seed << " cell " << g.cell;
+        ++kept;
+      }
+    }
+  }
+  EXPECT_GT(kept, 100);  // the comparison is not vacuous
 }
 
 }  // namespace

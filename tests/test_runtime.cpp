@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/itask.h"
+#include "nn/attention.h"
 #include "runtime/clock.h"
 #include "runtime/exposition.h"
 #include "runtime/fleet.h"
@@ -530,10 +531,15 @@ TEST(Exposition, KernelSectionsAppearOnlyWhenEnabled) {
   const float a[4] = {1.0f, 2.0f, 3.0f, 4.0f};
   const float b[4] = {5.0f, 6.0f, 7.0f, 8.0f};
   float c[4] = {};
+  Rng rng(5);
+  const nn::MultiHeadAttention attn(8, 2, rng);
+  const Tensor tokens = rng.randn({1, 3, 8});
   gemm::gemm_bt(a, b, c, 2, 2, 2);
+  (void)attn.infer(tokens);
   EXPECT_TRUE(profile::snapshot().empty());  // hooks off: nothing recorded
   profile::set_enabled(true);
   gemm::gemm_bt(a, b, c, 2, 2, 2);
+  (void)attn.infer(tokens);
   profile::set_enabled(false);
   const std::string text = to_prometheus(collect(m));
   EXPECT_NE(text.find("itask_kernel_profile_calls{section=\"gemm_pack\"}"),
@@ -541,6 +547,8 @@ TEST(Exposition, KernelSectionsAppearOnlyWhenEnabled) {
   EXPECT_NE(text.find("itask_kernel_profile_calls{section=\"gemm_kernel\"}"),
             std::string::npos);
   EXPECT_NE(text.find("itask_kernel_profile_ns{section=\"gemm_kernel\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("itask_kernel_profile_calls{section=\"attention\"}"),
             std::string::npos);
   profile::reset();
   EXPECT_TRUE(profile::snapshot().empty());
@@ -1218,12 +1226,15 @@ TEST_F(RuntimeServing, ProfilingHooksAreTransparent) {
   const auto sections = profile::snapshot();
   ASSERT_FALSE(sections.empty());
   bool saw_int8_kernel = false;
+  bool saw_attention = false;
   for (const auto& s : sections) {
     EXPECT_GT(s.calls, 0);
     EXPECT_GE(s.total_ns, 0);
     if (std::string(s.name) == "int8_kernel") saw_int8_kernel = true;
+    if (std::string(s.name) == "attention") saw_attention = true;
   }
   EXPECT_TRUE(saw_int8_kernel);  // the quantized config runs the int8 path
+  EXPECT_TRUE(saw_attention);    // and its attention runs the fp32 tile
 
   ASSERT_EQ(on.size(), off.size());
   for (size_t i = 0; i < on.size(); ++i) {

@@ -4,10 +4,12 @@
 // element loops against their scalar ports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "tensor/arena.h"
@@ -444,6 +446,108 @@ TEST(Vmath, GeluScalarPortIsGelu) {
   EXPECT_TRUE(std::isnan(vmath::gelu_scalar(NAN)));
   const float denormal = std::bit_cast<float>(0x00000005u);
   EXPECT_EQ(vmath::gelu_grad_scalar(denormal, 1.0f), 0.5f);
+}
+
+TEST(Vmath, ExpMatchesScalarPort) {
+  std::vector<float> xs = vmath_inputs();
+  // expf's special-case thresholds and their float neighbours: overflow
+  // above log(2^128), zero below log(2^-150), the smallest denormal below
+  // log(2^-149); plus the |x| >= 88 filter edge.
+  for (const float edge : {0x1.62e42ep6f, -0x1.9fe368p6f, -0x1.9d1d9ep6f,
+                           88.0f, -88.0f}) {
+    xs.push_back(edge);
+    xs.push_back(std::nextafter(edge, INFINITY));
+    xs.push_back(std::nextafter(edge, -INFINITY));
+  }
+  std::vector<float> ys(xs.size());
+  std::vector<float> sig(xs.size());
+  vmath::exp(xs, ys);
+  vmath::sigmoid(xs, sig);
+  int64_t mismatches = 0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const float want = vmath::exp_scalar(xs[i]);
+    const float want_sig = vmath::sigmoid_scalar(xs[i]);
+    if ((bits(ys[i]) != bits(want) || bits(sig[i]) != bits(want_sig)) &&
+        ++mismatches <= 5)
+      ADD_FAILURE() << std::hex << "x=0x" << bits(xs[i]) << " exp 0x"
+                    << bits(ys[i]) << " vs 0x" << bits(want) << ", sigmoid 0x"
+                    << bits(sig[i]) << " vs 0x" << bits(want_sig);
+  }
+  EXPECT_EQ(mismatches, 0);
+
+  // The two inputs where an unfused range reduction rounds differently,
+  // pinned to glibc 2.36 expf's bits.
+  for (const auto [x, want] : {std::pair{0x4202422fu, 0x56fc9f1cu},
+                               std::pair{0xc27c65d9u, 0x11fa2993u}}) {
+    float y = 0.0f;
+    const float xf = std::bit_cast<float>(x);
+    vmath::exp(std::span(&xf, 1), std::span(&y, 1));
+    EXPECT_EQ(bits(vmath::exp_scalar(xf)), want) << std::hex << x;
+    EXPECT_EQ(bits(y), want) << std::hex << x;
+  }
+
+  // Specials: ±0 give 1, −inf gives +0, +inf stays, NaNs come back quiet
+  // with their payload and sign, and the three thresholds.
+  EXPECT_EQ(vmath::exp_scalar(0.0f), 1.0f);
+  EXPECT_EQ(vmath::exp_scalar(-0.0f), 1.0f);
+  EXPECT_EQ(bits(vmath::exp_scalar(-INFINITY)), 0u);
+  EXPECT_EQ(vmath::exp_scalar(INFINITY), INFINITY);
+  EXPECT_EQ(bits(vmath::exp_scalar(std::bit_cast<float>(0x7f800001u))),
+            0x7fc00001u);
+  EXPECT_EQ(bits(vmath::exp_scalar(std::bit_cast<float>(0xffa00000u))),
+            0xffe00000u);
+  EXPECT_EQ(vmath::exp_scalar(std::nextafter(0x1.62e42ep6f, INFINITY)),
+            INFINITY);
+  EXPECT_LT(vmath::exp_scalar(0x1.62e42ep6f), INFINITY);
+  EXPECT_EQ(bits(vmath::exp_scalar(std::nextafter(-0x1.9fe368p6f,
+                                                  -INFINITY))),
+            0u);
+  EXPECT_EQ(bits(vmath::exp_scalar(std::nextafter(-0x1.9d1d9ep6f,
+                                                  -INFINITY))),
+            1u);
+
+  // The port is exp: within one float rounding of the double result.
+  for (int i = -100000; i <= 88000; ++i) {
+    const float x = static_cast<float>(i) * 1e-3f;
+    const double want = std::exp(static_cast<double>(x));
+    ASSERT_NEAR(vmath::exp_scalar(x), want, want * 0x1p-23 + 0x1p-149)
+        << "x=" << x;
+  }
+
+  // Every tail length; the slot past the end is never written.
+  for (size_t n = 0; n <= 33; ++n) {
+    std::vector<float> out(n + 1, 42.0f);
+    vmath::exp(std::span(xs).subspan(7, n), std::span(out).first(n));
+    for (size_t i = 0; i < n; ++i)
+      EXPECT_EQ(bits(out[i]), bits(vmath::exp_scalar(xs[7 + i])))
+          << "n=" << n << " i=" << i;
+    EXPECT_EQ(out[n], 42.0f) << "n=" << n;
+  }
+}
+
+TEST(Vmath, SoftmaxRowMatchesScalarFormula) {
+  // Rows of every length up to 40 (the vector exp's tails), drawn from the
+  // sweep so NaN, ±inf and huge values land in some rows.
+  const std::vector<float> xs = vmath_inputs();
+  size_t from = 0;
+  for (size_t n = 1; n <= 40; ++n) {
+    for (int rep = 0; rep < 50; ++rep, from = (from + 997) % (xs.size() - n)) {
+      std::vector<float> row(xs.begin() + from, xs.begin() + from + n);
+      std::vector<float> want = row;
+      float mx = want[0];
+      for (const float v : want) mx = std::max(mx, v);
+      float denom = 0.0f;
+      for (float& v : want) {
+        v = vmath::exp_scalar(v - mx);
+        denom += v;
+      }
+      const float inv = 1.0f / denom;
+      for (float& v : want) v *= inv;
+      vmath::softmax(row);
+      ASSERT_EQ(std::memcmp(row.data(), want.data(), n * sizeof(float)), 0)
+          << "n=" << n << " from=" << from;
+    }
+  }
 }
 
 }  // namespace
